@@ -47,12 +47,12 @@ from .polyalg import polynomial_from_dict, polynomial_to_dict
 from .verify import (
     Example4Params,
     GaussianFactor,
-    _signed_density,
     biquadratic_factor_probe,
     convolution_check,
     example4_B,
     example4_B_from_density,
     example4_negative_witness,
+    example4_signed_density,
     example4_witness_slice,
 )
 
@@ -198,8 +198,9 @@ def _cmd_diagnose(args, cfg: RunConfig) -> int:
 
 def _cmd_decompose(args, cfg: RunConfig) -> int:
     pnd = _load_pnd(args.input, cfg)
+    diag = precheck(pnd, cfg.budget(), cfg.grid_tol)
     try:
-        dec = decompose(pnd, theta=args.theta, tol=cfg.theta_tol, budget=cfg.budget())
+        dec = decompose(pnd, theta=args.theta, tol=cfg.theta_tol, budget=cfg.budget(), diagnosis=diag)
     except NotEligible as exc:
         _emit({"error": str(exc), "diagnosis": diagnosis_to_dict(exc.diagnosis)}, cfg)
         if exc.diagnosis.verdict == VERDICT_HAS_REAL_ZERO:
@@ -208,7 +209,7 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
             return EXIT_CONDITION
         return EXIT_INVALID
     out = decomposition_to_dict(dec)
-    out["diagnosis"] = diagnosis_to_dict(precheck(pnd, cfg.budget(), cfg.grid_tol))
+    out["diagnosis"] = diagnosis_to_dict(diag)
     _note(cfg, f"theta = {dec.theta:.9g}, min of rescaled polynomial = {dec.min_p_theta:.3e}")
     _emit(out, cfg)
     return EXIT_OK
@@ -267,7 +268,7 @@ def _cmd_example4(args, cfg: RunConfig) -> int:
         "n": witness.n,
     }
     if args.csv:
-        value_fn, _, _ = _signed_density(params)
+        value_fn, _, _ = example4_signed_density(params)
         pts = example4_witness_slice(params, args.n_max)
         write_density_csv(args.csv, pts, np.array([value_fn(p) for p in pts]))
         out["csv"] = args.csv

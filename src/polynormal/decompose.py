@@ -9,9 +9,11 @@ split the characteristic function
 in whitened coordinates.  The first factor is again a polynomial-normal
 density as long as the rescaled polynomial stays nonnegative; its
 admissible range is an interval reaching up to theta = 1, so the minimal
-admissible theta is found by bisection.  The bisection's direct
-minimization check is authoritative; the coefficient-perturbation radius
-from the positivity report is used only as a cheap sufficient shortcut.
+admissible theta is found by bisection.  Each midpoint is decided by
+local polishes from stored witness points, where the rescaled polynomial
+went negative before; global minimum scans run only at the start and to
+confirm the end point, and a confirmation that finds a negative point
+adds it as a witness and runs the bisection again.
 
 The reported theta_floor is the minimal isotropic-whitened theta found by
 this search, not a claim about every conceivable factorization.
@@ -28,20 +30,15 @@ from .errors import NoAdmissibleTheta, NotEligible, ThetaInadmissible
 from .pnd import (
     PND,
     SearchBudget,
-    make_pnd,
+    _build_pnd,
+    find_min_poly,
     minimize_polynomial,
     pnd_to_dict,
+    polish_minimum,
     whitened_poly,
 )
-from .polyalg import (
-    HermiteCoeffs,
-    Polynomial,
-    affine_substitute,
-    from_hermite,
-    theta_rescale,
-    to_hermite,
-)
-from .positivity import PositivityReport, check_condition_337, epsilon_bound, report_to_dict
+from .polyalg import HermiteCoeffs, affine_substitute, theta_rescale, to_hermite
+from .positivity import PositivityReport, epsilon_bound, report_to_dict
 
 VERDICT_HAS_REAL_ZERO = "HasRealZero"
 VERDICT_FAILS_CONDITION_337 = "FailsCondition337"
@@ -53,8 +50,8 @@ ZERO_TOL = 1e-9
 RESCALE_TOL = -1e-12
 DEFAULT_THETA_TOL = 1e-6
 
-# Budget for the many positivity probes inside the theta bisection; each
-# probe only needs a reliable sign, not a tight minimum.
+# Budget for the global scans of the theta search; each only needs a
+# reliable sign, not a tight minimum.
 PROBE_BUDGET = SearchBudget(doublings=4, grid_points=7, stop_below=10 * RESCALE_TOL)
 
 
@@ -95,8 +92,11 @@ class Decomposition:
 def precheck(
     pnd: PND, budget: SearchBudget | None = None, grid_tol: float = 1e-4
 ) -> Diagnosis:
-    """Zero detection, then the axis condition on the whitened polynomial."""
-    scan = minimize_polynomial(pnd.poly, budget)
+    """Zero detection, then the axis condition on the whitened polynomial.
+
+    The zero scan is the one ``make_pnd`` made when the budgets match.
+    """
+    scan = find_min_poly(pnd, budget)
     q = whitened_poly(pnd)
     report = epsilon_bound(q, grid_tol)
     if scan.value <= ZERO_TOL and scan.attained:
@@ -113,52 +113,69 @@ def precheck(
     return Diagnosis(verdict, None, None, scan.value, scan.point, scan.attained, report)
 
 
-def _epsilon_shortcut(p_theta: Polynomial, base: Polynomial, epsilon: float) -> bool:
-    """Sufficient admissibility test: all coefficients within the radius."""
-    return epsilon > 0.0 and p_theta.max_abs_coeff_diff(base) < epsilon
-
-
 def theta_floor(
     h: HermiteCoeffs,
     tol: float = DEFAULT_THETA_TOL,
     budget: SearchBudget | None = None,
-    report: PositivityReport | None = None,
 ) -> float:
     """Smallest admissible theta found by bisection, to absolute tolerance tol.
 
     Admissible means the theta-rescaled polynomial scans no lower than the
     rescale tolerance.  Admissibility near 1 is guaranteed for eligible
     inputs, so the returned value is at most any workable theta below 1.
+
+    A global scan at theta = 1 - 1e-9 checks that start and gives the
+    first witness point.  A midpoint is inadmissible only when a local
+    polish from a witness (inside the scan budget's box) reaches a point
+    below the rescale tolerance; that point then replaces the witness.
+    The bisection's end point is confirmed by one more global scan.  If
+    that scan finds a negative point, the point becomes a witness, every
+    theta up to the end point counts as inadmissible, and the bisection
+    runs again from the start; where polishes and scans agree, it takes
+    the midpoints of a bisection that scans every one.  So the returned
+    theta is always confirmed by a global scan, and unless the search ran
+    down to 0, a theta at most tol below it has an explicit negative point.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     budget = budget or PROBE_BUDGET
     if h.degree == 0:
         return tol
-    base = from_hermite(h)
-    if report is None and check_condition_337(base):
-        report = epsilon_bound(base)
-    epsilon = report.epsilon if report is not None and report.condition337 else 0.0
-
-    def admissible(theta: float) -> bool:
-        p_theta = theta_rescale(h, theta)
-        if _epsilon_shortcut(p_theta, base, epsilon):
-            return True
-        return minimize_polynomial(p_theta, budget).value >= RESCALE_TOL
-
-    hi = 1.0 - 1e-9
-    if not admissible(hi):
+    start = 1.0 - 1e-9
+    scan = minimize_polynomial(theta_rescale(h, start), budget)
+    if scan.value < RESCALE_TOL:
         raise NoAdmissibleTheta(
             "rescaled polynomial scans negative even at theta = 1 - 1e-9"
         )
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (hi + lo)
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    witnesses = [scan.point]
+    refuted_at = 0.0  # the highest theta a global scan found inadmissible
+
+    def refuted(theta: float) -> bool:
+        if theta <= refuted_at:
+            return True
+        p_theta = theta_rescale(h, theta)
+        for i, w in enumerate(witnesses):
+            point, value = polish_minimum(p_theta, w, budget)
+            if value < RESCALE_TOL:
+                witnesses[i] = point
+                return True
+        return False
+
+    while True:
+        lo, hi = 0.0, start
+        while hi - lo > tol:
+            mid = 0.5 * (hi + lo)
+            if refuted(mid):
+                lo = mid
+            else:
+                hi = mid
+        if hi == start:
+            return hi
+        scan = minimize_polynomial(theta_rescale(h, hi), budget)
+        if scan.value >= RESCALE_TOL:
+            return hi
+        witnesses.append(scan.point)
+        refuted_at = hi
 
 
 def decompose(
@@ -179,7 +196,7 @@ def decompose(
         raise NotEligible(diag)
     h = to_hermite(whitened_poly(pnd))
     if theta is None:
-        floor = theta_floor(h, tol, report=diag.report)
+        floor = theta_floor(h, tol)
         theta = min(floor + tol, 1.0 - 1e-9)
     elif not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -189,11 +206,13 @@ def decompose(
         raise ThetaInadmissible(scan.value)
     L = pnd.form.whitener
     Linv = np.linalg.inv(L)
-    factor_y = make_pnd(
+    # No second scan: factor_Y's polynomial is p_theta in other coordinates,
+    # and the scan above has gated it with the stricter RESCALE_TOL.
+    factor_y = _build_pnd(
         affine_substitute(p_theta, Linv, np.zeros(pnd.dim)),
         pnd.form.matrix / theta**2,
         np.zeros(pnd.dim),
-        budget,
+        budget=None,
     )
     factor_z = GaussianFactor(
         mean=np.array(pnd.shift), cov=(1.0 - theta**2) * (L @ L.T)

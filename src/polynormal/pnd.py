@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -78,12 +78,17 @@ def make_quadform(A) -> QuadForm:
 
 @dataclass(frozen=True)
 class PND:
-    """Polynomial-normal density model."""
+    """Polynomial-normal density model.
+
+    ``scan`` is the (budget, result) of the minimum scan of ``poly`` that
+    validated it, or None; ``find_min_poly`` reuses it for the same budget.
+    """
 
     poly: Polynomial
     form: QuadForm
     shift: np.ndarray
     norm_const: float
+    scan: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -125,6 +130,30 @@ def _grid_candidates(p: Polynomial, radius: float, per_axis: int, keep: int = 3)
     return [pts[i] for i in order]
 
 
+def _lbfgsb(p: Polynomial, start, radius: float):
+    """Local L-BFGS-B minimum of p from start, inside the box [-radius, radius]^d."""
+    res = _scipy_minimize(
+        p.eval,
+        np.clip(np.asarray(start, dtype=float), -radius, radius),
+        jac=p.grad_eval,
+        method="L-BFGS-B",
+        bounds=[(-radius, radius)] * p.dim,
+        options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
+    )
+    return np.asarray(res.x), float(res.fun)
+
+
+def polish_minimum(p: Polynomial, start, budget: SearchBudget):
+    """Local minimum (point, value) of p from start, inside the box of the
+    budget's last scan round.
+
+    The box matters when p is unbounded below: an unbounded descent runs
+    off to points so large that rounding in the monomial evaluation makes
+    a nonnegative polynomial read negative there.
+    """
+    return _lbfgsb(p, start, budget.initial_radius * 2.0**budget.doublings)
+
+
 def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:
     """Best-effort global minimum of p; a witness, not a certificate.
 
@@ -146,17 +175,9 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
         if n_starts > 0:
             seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
         for s in seeds:
-            res = _scipy_minimize(
-                p.eval,
-                np.clip(np.asarray(s, dtype=float), -radius, radius),
-                jac=p.grad_eval,
-                method="L-BFGS-B",
-                bounds=[(-radius, radius)] * d,
-                options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
-            )
-            if res.fun < best_val:
-                best_val = float(res.fun)
-                best_pt = np.asarray(res.x)
+            pt, val = _lbfgsb(p, s, radius)
+            if val < best_val:
+                best_val, best_pt = val, pt
         history.append(best_val)
         if budget.stop_below is not None and best_val < budget.stop_below:
             return MinimizationResult(best_pt, best_val, True)
@@ -169,7 +190,13 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
 
 
 def find_min_poly(pnd: PND, budget: SearchBudget | None = None) -> MinimizationResult:
-    """Minimum scan of the density polynomial of a PND."""
+    """Minimum scan of the density polynomial of a PND.
+
+    Returns the scan that ``make_pnd`` made when it used the same budget.
+    """
+    budget = budget or SearchBudget()
+    if pnd.scan is not None and pnd.scan[0] == budget:
+        return pnd.scan[1]
     return minimize_polynomial(pnd.poly, budget)
 
 
@@ -179,6 +206,15 @@ def make_pnd(p: Polynomial, A, b, budget: SearchBudget | None = None) -> PND:
     Rejects polynomials that scan strictly below the negativity tolerance
     and densities whose constant Hermite coefficient is nonpositive.
     """
+    return _build_pnd(p, A, b, budget or SearchBudget())
+
+
+def _build_pnd(p: Polynomial, A, b, budget: SearchBudget | None) -> PND:
+    """``make_pnd``'s checks and normalization; with budget None, no scan.
+
+    Skipping the scan is only for callers that have already gated the
+    nonnegativity of p themselves.
+    """
     form = make_quadform(A)
     b = np.asarray(b, dtype=float).reshape(-1)
     if p.dim != form.dim or b.shape[0] != form.dim:
@@ -187,15 +223,19 @@ def make_pnd(p: Polynomial, A, b, budget: SearchBudget | None = None) -> PND:
         )
     if p.degree % 2 != 0:
         raise ValueError(f"density polynomial must have even degree, got {p.degree}")
-    scan = minimize_polynomial(p, budget)
-    if scan.value < NEGATIVITY_TOL:
-        raise NegativeDensity(scan.point, scan.value)
+    scan = None
+    if budget is not None:
+        result = minimize_polynomial(p, budget)
+        if result.value < NEGATIVITY_TOL:
+            raise NegativeDensity(result.point, result.value)
+        result.point.setflags(write=False)  # shared by every reuse of the scan
+        scan = (budget, result)
     whitened = affine_substitute(p, form.whitener, b)
     beta0 = to_hermite(whitened).coefficient((0,) * form.dim)
     if beta0 <= 0.0:
         raise ZeroIntegral(f"constant Hermite coefficient is {beta0:.6g}")
     b.setflags(write=False)
-    return PND(p, form, b, 1.0 / beta0)
+    return PND(p, form, b, 1.0 / beta0, scan)
 
 
 def whitened_poly(pnd: PND) -> Polynomial:

@@ -190,8 +190,12 @@ def example4_B_exact(params: Example4Params) -> float:
     return (params.a22 - 1.0) / a12 - a12 / det
 
 
-def _signed_density(params: Example4Params):
-    """Recomputed inverse transform of the candidate, with no density gate."""
+def example4_signed_density(params: Example4Params):
+    """Recomputed inverse transform of the candidate, with no density gate.
+
+    Returns (value, poly, A): the signed density as a function of a point,
+    and the polynomial and matrix of the inverse transform.
+    """
     poly, A, _ = inverse_cf_parts(example4_candidate_cf(params))
     scale = math.sqrt(np.linalg.det(A)) / (2.0 * math.pi)
 
@@ -244,7 +248,7 @@ def example4_negative_witness(params: Example4Params, n_max: int = 50) -> Witnes
     """First probe-curve point where the candidate's inverse transform is
     negative; raises NoWitnessFound when the scan range is too short."""
     validate_example4_params(params)
-    value, _, _ = _signed_density(params)
+    value, _, _ = example4_signed_density(params)
     for n in range(1, n_max + 1):
         for pt in _witness_candidates(params, n):
             v = value(pt)
@@ -265,7 +269,7 @@ def example4_B_from_density(params: Example4Params, n_values=(2.0, 3.0, 4.0)) ->
     if params.a12 == 0.0:
         raise ValueError("a12 must be nonzero for the growth-coefficient extraction")
     params_abs = Example4Params(params.a11, abs(params.a12), params.a22)
-    _, poly, _ = _signed_density(params_abs)
+    _, poly, _ = example4_signed_density(params_abs)
     ns = np.asarray(n_values, dtype=float)
     basis = np.stack([ns**2, np.ones_like(ns), ns**-2.0], axis=1)
     samples = np.array([poly.eval(_curve_point(params_abs, n)) for n in ns])

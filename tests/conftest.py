@@ -1,11 +1,13 @@
 """Shared builders for the test suite."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 from polynormal import Example4Params, SearchBudget, make_pnd
+from polynormal import pnd as pnd_module
 from polynormal.polyalg import Polynomial
 from polynormal.verify import validate_example4_params
 
@@ -22,6 +24,24 @@ def example4_poly() -> Polynomial:
 @pytest.fixture
 def example4_pnd():
     return make_pnd(example4_poly(), np.eye(2), np.zeros(2))
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Polynomials passed to global minimum scans (``minimize_polynomial``),
+    wherever in the package the scan is looked up from."""
+    calls = []
+    original = pnd_module.minimize_polynomial
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return original(p, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "polynormal" or name.startswith("polynormal."):
+            if getattr(module, "minimize_polynomial", None) is original:
+                monkeypatch.setattr(module, "minimize_polynomial", counting)
+    return calls
 
 
 def eligible_quartic_poly() -> Polynomial:

@@ -141,6 +141,20 @@ def test_decompose_eligible_quartic(workdir, capsys):
     assert "mean" in dec["factor_Z"] and "cov" in dec["factor_Z"]
 
 
+def test_decompose_scans_at_most_four_times(workdir, scan_calls):
+    # load (reused by the precheck), theta start, theta confirmation, final theta
+    path = _write(
+        workdir / "quartic.json", _pnd_json(eligible_quartic_poly(), np.eye(2), np.zeros(2))
+    )
+    assert main(["--out", str(workdir / "dec.json"), "decompose", "--input", path]) == 0
+    assert len(scan_calls) <= 4
+
+
+def test_validate_scans_once(workdir, example4_json, scan_calls):
+    assert main(["--out", str(workdir / "v.json"), "validate", "--input", example4_json]) == 0
+    assert len(scan_calls) == 1
+
+
 def test_decompose_reference_density_exits_4(workdir, example4_json, capsys):
     assert main(["decompose", "--input", example4_json]) == 4
     out = json.loads(capsys.readouterr().out)

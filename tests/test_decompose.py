@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from polynormal.decompose import (
+    PROBE_BUDGET,
+    RESCALE_TOL,
     VERDICT_ELIGIBLE,
     VERDICT_FAILS_CONDITION_337,
     VERDICT_HAS_REAL_ZERO,
@@ -15,13 +17,22 @@ from polynormal.decompose import (
 )
 from polynormal.errors import NoAdmissibleTheta, NotEligible, ThetaInadmissible
 from polynormal.pnd import SearchBudget, make_pnd, minimize_polynomial, whitened_poly
-from polynormal.polyalg import HermiteCoeffs, Polynomial, affine_substitute, theta_rescale, to_hermite
+from polynormal.polyalg import (
+    HermiteCoeffs,
+    Polynomial,
+    affine_substitute,
+    from_hermite,
+    theta_rescale,
+    to_hermite,
+)
+from polynormal.positivity import check_condition_337, epsilon_bound
 
 from conftest import (
     FAST_BUDGET,
     all_multiindices,
     eligible_quartic_poly,
     example4_poly,
+    random_pd_matrix,
 )
 
 
@@ -45,6 +56,15 @@ def test_precheck_zero_polynomial():
     assert diag.verdict == VERDICT_HAS_REAL_ZERO
     assert diag.witness_value <= 1e-9
     assert np.max(np.abs(diag.witness_point)) <= 1e-5
+
+
+def test_precheck_reuses_the_scan_of_make_pnd(scan_calls):
+    pnd = make_pnd(eligible_quartic_poly(), np.eye(2), np.zeros(2))
+    assert len(scan_calls) == 1
+    assert precheck(pnd).verdict == VERDICT_ELIGIBLE
+    assert len(scan_calls) == 1
+    precheck(pnd, SearchBudget(seed=1))
+    assert len(scan_calls) == 2
 
 
 def test_precheck_eligible_quartic():
@@ -75,6 +95,72 @@ def test_theta_floor_eligible_quartic_regression():
     assert minimize_polynomial(theta_rescale(h, floor), FAST_BUDGET).value >= -1e-12
     # regression pin from the first verified run of the bisection
     assert floor == pytest.approx(0.867983, abs=1e-4)
+
+
+def reference_theta_floor(h, tol, budget=PROBE_BUDGET):
+    """The bisection that scans every midpoint, with the epsilon shortcut."""
+    base = from_hermite(h)
+    report = epsilon_bound(base) if check_condition_337(base) else None
+    epsilon = report.epsilon if report is not None and report.condition337 else 0.0
+
+    def admissible(theta):
+        p_theta = theta_rescale(h, theta)
+        if epsilon > 0.0 and p_theta.max_abs_coeff_diff(base) < epsilon:
+            return True
+        return minimize_polynomial(p_theta, budget).value >= RESCALE_TOL
+
+    hi = 1.0 - 1e-9
+    assert admissible(hi)
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (hi + lo)
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def rotated_oracle_pnd():
+    """prod_j (((R'x)_j)^2 + c_j) with A = R diag(1, 2) R', R the rotation by
+    pi/6: the minimal theta is max_j (1 + a_j c_j)^(-1/2) = 1/sqrt(1.5)."""
+    R = np.array([[math.cos(math.pi / 6), -math.sin(math.pi / 6)],
+                  [math.sin(math.pi / 6), math.cos(math.pi / 6)]])
+    x = [Polynomial.variable(2, k) for k in range(2)]
+    p = Polynomial.constant(2, 1.0)
+    for j, c in enumerate((0.5, 1.0)):
+        y = R[0, j] * x[0] + R[1, j] * x[1]
+        p = p * (y * y + c)
+    return make_pnd(p, R @ np.diag([1.0, 2.0]) @ R.T, np.zeros(2))
+
+
+def test_theta_floor_rotated_oracle():
+    # Below the floor this rescaled polynomial is unbounded below; a polish
+    # left to run off to huge |x| collects witnesses that read negative by
+    # rounding alone, and the answer lands near 0.86 instead of 0.816.
+    pnd = rotated_oracle_pnd()
+    assert precheck(pnd).verdict == VERDICT_ELIGIBLE
+    floor = theta_floor(to_hermite(whitened_poly(pnd)), tol=1e-6)
+    assert floor == pytest.approx(1.0 / math.sqrt(1.5), abs=1e-6)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(5)
+    cases = [
+        ("closed form", HermiteCoeffs.from_coeffs(1, {(2,): 0.5, (0,): 1.0})),
+        ("eligible quartic", to_hermite(whitened_poly(make_pnd(eligible_quartic_poly(), np.eye(2), np.zeros(2))))),
+        ("rotated oracle", to_hermite(whitened_poly(rotated_oracle_pnd()))),
+    ]
+    for k in range(3):
+        pnd = make_pnd(_random_eligible_poly(rng), random_pd_matrix(rng, 2), np.zeros(2), FAST_BUDGET)
+        cases.append((f"random quartic {k}", to_hermite(whitened_poly(pnd))))
+    return cases
+
+
+def test_theta_floor_matches_the_scan_every_midpoint_bisection():
+    tol = 1e-6
+    for name, h in _reference_cases():
+        assert theta_floor(h, tol) == pytest.approx(reference_theta_floor(h, tol), abs=tol), name
 
 
 def test_theta_floor_rejects_nonpositive_input():
