@@ -118,14 +118,8 @@ def cf_eval(cf: CharFn, t) -> complex:
     t = np.asarray(t, dtype=float).reshape(-1)
     if t.shape[0] != cf.dim:
         raise DimensionMismatch(f"point has length {t.shape[0]}, expected {cf.dim}")
-    it = 1j * t
-    z = 0j
-    for alpha, c in cf.beta.terms.items():
-        v = complex(c)
-        for ti, ai in zip(it, alpha):
-            if ai:
-                v *= ti**ai
-        z += v
+    re, im = real_imag_parts(cf)
+    z = complex(re.eval(t), im.eval(t))
     return z * np.exp(-0.5 * t @ cf.sigma @ t) * np.exp(1j * (cf.shift @ t))
 
 
@@ -144,15 +138,9 @@ def real_imag_parts(cf: CharFn):
     re: dict = {}
     im: dict = {}
     for alpha, c in cf.beta.terms.items():
-        k = sum(alpha)
-        if k % 2 == 0:
-            re[alpha] = c * (-1.0) ** (k // 2)
-        else:
-            im[alpha] = c * (-1.0) ** ((k - 1) // 2)
-    return (
-        Polynomial.from_terms(cf.dim, re),
-        Polynomial.from_terms(cf.dim, im),
-    )
+        k = sum(alpha)  # i^k = (-1)^(k // 2), times i when k is odd
+        (im if k % 2 else re)[alpha] = c * (-1.0) ** (k // 2)
+    return Polynomial.from_terms(cf.dim, re), Polynomial.from_terms(cf.dim, im)
 
 
 # -- JSON schema ---------------------------------------------------------------

@@ -1,21 +1,21 @@
-"""Sparse multivariate polynomials and the probabilists' Hermite basis.
+"""Multivariate polynomials and the probabilists' Hermite basis.
 
-Polynomials are sparse maps from exponent multi-indices to real
-coefficients.  The Hermite side uses He_k, orthogonal under the weight
-exp(-x^2/2) -- the Gaussian weight every density in this package carries
-(He_2(x) = x^2 - 1, recurrence He_{k+1} = x He_k - k He_{k-1}).  Basis
-conversion goes through exact integer recurrence tables in each variable,
-tensored across coordinates, so round trips are limited only by float
-rounding; Gauss-Hermite quadrature is not needed on the conversion path.
+``Polynomial.terms`` and ``HermiteCoeffs.coeffs`` are read-only maps from
+exponent multi-indices to coefficients, stored as one vector over the indices
+of total degree <= degree.  The algebra runs on the dense (degree+1,)*dim
+array: per-axis contractions with exact integer 1-D tables for basis changes
+to and from He_k (orthogonal under exp(-x^2/2), He_2(x) = x^2 - 1), Horner's
+rule for affine substitution, and one exponent table with rows for the value
+and each partial derivative for evaluation.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
+from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -29,17 +29,80 @@ MultiIndex = tuple[int, ...]
 CANON_EPS = 1e-14
 
 
-def _canonical_terms(dim, terms, eps):
-    items = terms.items() if isinstance(terms, Mapping) else terms
+_Layout = namedtuple("_Layout", "shape total keys index flat")
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(dim: int, degree: int) -> _Layout:
+    """Total degree of each entry of a (degree+1,)*dim coefficient array, and the
+    entries of total degree <= degree: multi-indices (C order), positions, flat indices."""
+    shape = (degree + 1,) * dim
+    total = sum(np.indices(shape))
+    flat = np.flatnonzero(total <= degree)
+    keys = list(map(tuple, np.transpose(np.unravel_index(flat, shape)).tolist()))
+    return _Layout(shape, total, keys, {k: i for i, k in enumerate(keys)}, flat)
+
+
+class _Coefficients(Mapping):
+    """Read-only map from multi-indices to nonzero coefficients over a ``_layout``."""
+
+    __slots__ = ("vec", "layout")
+
+    def __init__(self, vec: np.ndarray, layout: _Layout):
+        self.vec, self.layout = vec, layout
+
+    def __getitem__(self, alpha):
+        c = self.vec[self.layout.index[tuple(alpha)]]
+        if c == 0.0:
+            raise KeyError(alpha)
+        return float(c)
+
+    def __iter__(self):
+        return map(self.layout.keys.__getitem__, np.flatnonzero(self.vec).tolist())
+
+    def __len__(self):
+        return int(np.count_nonzero(self.vec))
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+    def dense(self, n: int = 0) -> np.ndarray:
+        """The dense coefficient array, grown with zeros to (n,)*dim if n is larger."""
+        arr = np.zeros(self.layout.shape)
+        arr.reshape(-1)[self.layout.flat] = self.vec
+        return np.pad(arr, (0, n - arr.shape[0])) if n > arr.shape[0] else arr
+
+
+def _wrap(cls, arr: np.ndarray, eps: float = CANON_EPS):
+    """``cls`` from a dense coefficient array: entries at or below eps dropped,
+    stored over the ``_layout`` of its dimension and total degree."""
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficient is not finite")
+    arr = np.where(np.abs(arr) > eps, arr, 0.0)
+    degree = int(_layout(arr.ndim, arr.shape[0] - 1).total[arr != 0.0].max(initial=0))
+    layout = _layout(arr.ndim, degree)
+    vec = arr[(slice(degree + 1),) * arr.ndim].ravel()[layout.flat]
+    vec.setflags(write=False)
+    return cls(arr.ndim, _Coefficients(vec, layout), degree)
+
+
+def _canonical(cls, dim, terms, eps):
+    """``cls`` from (multi-index, coefficient) pairs or a map; like indices are summed."""
+    if dim <= 0:
+        raise ValueError("dimension must be positive")
+    if isinstance(terms, _Coefficients) and len(terms.layout.shape) == dim:
+        return _wrap(cls, terms.dense(), eps)
     acc: dict[MultiIndex, float] = {}
-    for alpha, coef in items:
+    for alpha, coef in terms.items() if isinstance(terms, Mapping) else terms:
+        if not all(float(a).is_integer() and float(a) >= 0 for a in alpha):
+            raise ValueError(f"exponent negative or not whole in multi-index {tuple(alpha)}")
         idx = tuple(int(a) for a in alpha)
         if len(idx) != dim:
             raise DimensionMismatch(f"multi-index {idx} does not have length {dim}")
-        if any(a < 0 for a in idx):
-            raise ValueError(f"negative exponent in multi-index {idx}")
         acc[idx] = acc.get(idx, 0.0) + float(coef)
-    return {a: c for a, c in acc.items() if abs(c) > eps}
+    arr = np.zeros((max((sum(a) for a in acc), default=0) + 1,) * dim)
+    arr[tuple(np.array(list(acc), dtype=int).reshape(-1, dim).T)] = list(acc.values())
+    return _wrap(cls, arr, eps)
 
 
 def grlex_key(alpha: MultiIndex):
@@ -47,26 +110,41 @@ def grlex_key(alpha: MultiIndex):
     return (sum(alpha), alpha)
 
 
+class _Expansion:
+    """What Polynomial and HermiteCoeffs share; ``_map`` is the coefficient map."""
+
+    def coefficient(self, alpha) -> float:
+        return self._map.get(tuple(alpha), 0.0)
+
+    def _check_dim(self, other):
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
+
+    def max_abs_coeff_diff(self, other) -> float:
+        """Largest coefficient gap between two expansions (0 if identical)."""
+        self._check_dim(other)
+        n = max(self.degree, other.degree) + 1
+        return float(np.max(np.abs(self._map.dense(n) - other._map.dense(n))))
+
+
 @dataclass(frozen=True)
-class Polynomial:
-    """Immutable sparse polynomial on R^dim.
+class Polynomial(_Expansion):
+    """Immutable polynomial on R^dim.
 
     ``terms`` maps exponent multi-indices to coefficients and is always in
     canonical form: indices of length ``dim``, no near-zero coefficients.
+    It is read-only, and unpacks to the dense array the algebra runs on.
     ``degree`` is the maximal total degree (0 for the zero polynomial).
     """
 
     dim: int
-    terms: dict
+    terms: Mapping
     degree: int
+    _map = property(lambda self: self.terms)
 
     @staticmethod
     def from_terms(dim: int, terms, eps: float = CANON_EPS) -> "Polynomial":
-        if dim <= 0:
-            raise ValueError("dimension must be positive")
-        tt = _canonical_terms(dim, terms, eps)
-        deg = max((sum(a) for a in tt), default=0)
-        return Polynomial(dim, tt, deg)
+        return _canonical(Polynomial, dim, terms, eps)
 
     @staticmethod
     def zero(dim: int) -> "Polynomial":
@@ -81,37 +159,24 @@ class Polynomial:
         alpha = tuple(1 if k == j else 0 for k in range(dim))
         return Polynomial.from_terms(dim, {alpha: 1.0})
 
-    def coefficient(self, alpha) -> float:
-        return self.terms.get(tuple(alpha), 0.0)
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_dim(self, other: "Polynomial"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(
-                f"polynomials have dimensions {self.dim} and {other.dim}"
-            )
-
     def __add__(self, other):
         if np.isscalar(other):
             other = Polynomial.constant(self.dim, float(other))
         self._check_dim(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, 0.0) + c
-        return Polynomial.from_terms(self.dim, out)
+        n = max(self.degree, other.degree) + 1
+        return _wrap(Polynomial, self.terms.dense(n) + other.terms.dense(n))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial.from_terms(self.dim, {a: -c for a, c in self.terms.items()})
+        return _wrap(Polynomial, -self.terms.dense())
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            other = Polynomial.constant(self.dim, float(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -119,16 +184,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return Polynomial.from_terms(
-                self.dim, {a: float(other) * c for a, c in self.terms.items()}
-            )
+            return _wrap(Polynomial, float(other) * self.terms.dense())
         self._check_dim(other)
-        out: dict[MultiIndex, float] = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                a = tuple(x + y for x, y in zip(a1, a2))
-                out[a] = out.get(a, 0.0) + c1 * c2
-        return Polynomial.from_terms(self.dim, out)
+        dense = self.terms.dense()
+        out = np.zeros((self.degree + other.degree + 1,) * self.dim)
+        for alpha, c in other.terms.items():
+            out[tuple(slice(a, a + self.degree + 1) for a in alpha)] += c * dense
+        return _wrap(Polynomial, out)
 
     __rmul__ = __mul__
 
@@ -142,64 +204,57 @@ class Polynomial:
 
     # -- evaluation ---------------------------------------------------------
 
+    @functools.cached_property
+    def _eval_table(self):
+        """(powers, gather positions, coefficient rows) of the evaluation kernel:
+        column k is a monomial of p or of a partial derivative, gathered from the
+        flat table x_j ** powers at positions[k]; row 0 is p, row 1 + j dp/dx_j."""
+        d, n = self.dim, self.degree + 1
+        dense = self.terms.dense()
+        # d/dx_j: scale by the exponent along axis j, shift down by one.
+        rows = [np.roll(dense * np.arange(n).reshape([n] + [1] * (d - 1 - j)), -1, axis=j)
+                for j in range(d)]
+        stack = np.stack([dense] + rows).reshape(d + 1, -1)
+        cols = np.flatnonzero(stack.any(axis=0))
+        exps = np.stack(np.unravel_index(cols, (n,) * d), axis=1)
+        return np.arange(n), exps + n * np.arange(d), stack[:, cols]
+
+    def _monomials(self, x) -> np.ndarray:
+        """Every column monomial of the evaluation table at points x (..., dim)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.dim:
+            raise DimensionMismatch(f"points have dimension {x.shape[-1]}, expected {self.dim}")
+        powers, positions, _ = self._eval_table
+        table = (x[..., None] ** powers).reshape(x.shape[:-1] + (-1,))
+        return table[..., positions].prod(axis=-1)
+
+    def _at(self, x) -> np.ndarray:
+        """[p, dp/dx_1, ..., dp/dx_dim] at one point.  The last point's values
+        are kept: L-BFGS-B asks for the value, then the gradient, at each point."""
+        x = np.asarray(x, dtype=float).reshape(-1)
+        key, last = x.tobytes(), self.__dict__.get("_last")
+        if last is None or last[0] != key:
+            last = self.__dict__["_last"] = (key, self._eval_table[2] @ self._monomials(x))
+        return last[1]
+
     def eval(self, x) -> float:
         """Evaluate at a single point of R^dim."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has length {x.shape[0]}, expected {self.dim}")
-        total = 0.0
-        for alpha, c in self.terms.items():
-            v = c
-            for xi, ai in zip(x, alpha):
-                if ai:
-                    v *= xi**ai
-            total += v
-        return total
+        return self._at(x)[0]
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, dim) array of points at once."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1) if self.dim == 1 else pts.reshape(1, -1)
-        if pts.shape[1] != self.dim:
-            raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {self.dim}")
-        if not self.terms:
-            return np.zeros(pts.shape[0])
-        alphas = np.array(list(self.terms.keys()), dtype=float)
-        coefs = np.array(list(self.terms.values()))
-        # (n, nterms): product over coordinates of x_j ** alpha_j
-        monomials = np.prod(pts[:, None, :] ** alphas[None, :, :], axis=2)
-        return monomials @ coefs
+        return self._monomials(pts) @ self._eval_table[2][0]
 
     def grad_eval(self, x) -> np.ndarray:
         """Gradient at a single point."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has length {x.shape[0]}, expected {self.dim}")
-        g = np.zeros(self.dim)
-        for alpha, c in self.terms.items():
-            for j, aj in enumerate(alpha):
-                if aj == 0:
-                    continue
-                v = c * aj
-                for k, ak in enumerate(alpha):
-                    e = ak - 1 if k == j else ak
-                    if e:
-                        v *= x[k] ** e
-                g[j] += v
-        return g
-
-    def max_abs_coeff_diff(self, other: "Polynomial") -> float:
-        """Largest coefficient gap between two polynomials (0 if identical)."""
-        self._check_dim(other)
-        keys = set(self.terms) | set(other.terms)
-        if not keys:
-            return 0.0
-        return max(abs(self.terms.get(a, 0.0) - other.terms.get(a, 0.0)) for a in keys)
+        return self._at(x)[1:].copy()
 
 
 @dataclass(frozen=True)
-class HermiteCoeffs:
+class HermiteCoeffs(_Expansion):
     """Coefficients of a tensor-product Hermite expansion.
 
     ``coeffs`` maps a multi-index alpha to the coefficient of
@@ -207,65 +262,36 @@ class HermiteCoeffs:
     """
 
     dim: int
-    coeffs: dict
+    coeffs: Mapping
     degree: int
+    _map = property(lambda self: self.coeffs)
 
     @staticmethod
     def from_coeffs(dim: int, coeffs, eps: float = CANON_EPS) -> "HermiteCoeffs":
-        if dim <= 0:
-            raise ValueError("dimension must be positive")
-        cc = _canonical_terms(dim, coeffs, eps)
-        deg = max((sum(a) for a in cc), default=0)
-        return HermiteCoeffs(dim, cc, deg)
-
-    def coefficient(self, alpha) -> float:
-        return self.coeffs.get(tuple(alpha), 0.0)
+        return _canonical(HermiteCoeffs, dim, coeffs, eps)
 
     def sorted_coeffs(self) -> list:
         return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def max_abs_coeff_diff(self, other: "HermiteCoeffs") -> float:
-        keys = set(self.coeffs) | set(other.coeffs)
-        if not keys:
-            return 0.0
-        return max(abs(self.coeffs.get(a, 0.0) - other.coeffs.get(a, 0.0)) for a in keys)
 
 
 # -- 1D conversion tables (exact integers in float storage) ------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _hermite_monomial_coeffs(k: int) -> tuple:
-    """Monomial coefficients of He_k: He_k(x) = sum_r out[r] x^r."""
-    if k == 0:
-        return (1.0,)
-    if k == 1:
-        return (0.0, 1.0)
-    prev = _hermite_monomial_coeffs(k - 1)
-    prev2 = _hermite_monomial_coeffs(k - 2)
-    out = [0.0] * (k + 1)
-    for r, c in enumerate(prev):
-        out[r + 1] += c
-    for r, c in enumerate(prev2):
-        out[r] -= (k - 1) * c
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_hermite_coeffs(k: int) -> tuple:
-    """Hermite coefficients of x^k: x^k = sum_j out[j] He_j(x)."""
-    if k == 0:
-        return (1.0,)
-    prev = _monomial_hermite_coeffs(k - 1)
-    # x * He_j = He_{j+1} + j He_{j-1}
-    out = [0.0] * (k + 1)
-    for j, c in enumerate(prev):
-        if c == 0.0:
-            continue
-        out[j + 1] += c
-        if j >= 1:
-            out[j - 1] += j * c
-    return tuple(out)
+def _basis_table(n: int, to_hermite: bool) -> np.ndarray:
+    """(n, n) table of one 1-D basis change, column k holding the Hermite
+    coefficients of x^k (to_hermite) or the monomial coefficients of He_k, from
+    x He_j = He_{j+1} + j He_{j-1} and He_k = x He_{k-1} - (k-1) He_{k-2}."""
+    table = np.zeros((n, n))
+    table[0, 0] = 1.0
+    for k in range(1, n):
+        table[1:, k] = table[:-1, k - 1]
+        if to_hermite:
+            table[:-1, k] += np.arange(1, n) * table[1:, k - 1]
+        elif k > 1:
+            table[:, k] -= (k - 1) * table[:, k - 2]
+    table.setflags(write=False)
+    return table
 
 
 def hermite_1d(k: int, x):
@@ -285,32 +311,30 @@ def hermite_1d(k: int, x):
 # -- basis conversion and rescaling ------------------------------------------
 
 
+def _change_basis(arr: np.ndarray, to_hermite: bool) -> np.ndarray:
+    """Apply the 1-D basis change of ``_basis_table`` along every axis."""
+    n, d = arr.shape[0], arr.ndim
+    table = _basis_table(n, to_hermite)
+    for _ in range(d):  # change axis 0, then rotate it to the end
+        arr = (table @ arr.reshape(n, -1)).reshape(arr.shape).transpose(*range(1, d), 0)
+    return arr
+
+
+def _theta_scale(arr: np.ndarray, theta: float) -> np.ndarray:
+    """arr[a] * theta^{-|a|}, formed at nonzero entries only (no 0 * inf)."""
+    out, live = np.zeros_like(arr), arr != 0
+    out[live] = arr[live] * theta ** -_layout(arr.ndim, arr.shape[0] - 1).total[live].astype(float)
+    return out
+
+
 def to_hermite(p: Polynomial) -> HermiteCoeffs:
     """Expand p in the tensor Hermite basis: p = sum beta_a prod He_{a_j}."""
-    out: dict[MultiIndex, float] = {}
-    for alpha, c in p.terms.items():
-        tables = [_monomial_hermite_coeffs(aj) for aj in alpha]
-        for idx in itertools.product(*(range(len(t)) for t in tables)):
-            w = c
-            for tab, i in zip(tables, idx):
-                w *= tab[i]
-            if w != 0.0:
-                out[idx] = out.get(idx, 0.0) + w
-    return HermiteCoeffs.from_coeffs(p.dim, out)
+    return _wrap(HermiteCoeffs, _change_basis(p.terms.dense(), True))
 
 
 def from_hermite(h: HermiteCoeffs) -> Polynomial:
     """Expand a Hermite coefficient map back to monomial form."""
-    out: dict[MultiIndex, float] = {}
-    for alpha, c in h.coeffs.items():
-        tables = [_hermite_monomial_coeffs(aj) for aj in alpha]
-        for idx in itertools.product(*(range(len(t)) for t in tables)):
-            w = c
-            for tab, i in zip(tables, idx):
-                w *= tab[i]
-            if w != 0.0:
-                out[idx] = out.get(idx, 0.0) + w
-    return Polynomial.from_terms(h.dim, out)
+    return _wrap(Polynomial, _change_basis(h.coeffs.dense(), False))
 
 
 def theta_rescale(h: HermiteCoeffs, theta: float) -> Polynomial:
@@ -321,17 +345,27 @@ def theta_rescale(h: HermiteCoeffs, theta: float) -> Polynomial:
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    out: dict[MultiIndex, float] = {}
-    for alpha, c in h.coeffs.items():
-        tables = [_hermite_monomial_coeffs(aj) for aj in alpha]
-        total = sum(alpha)
-        for idx in itertools.product(*(range(len(t)) for t in tables)):
-            w = c * theta ** (-(total + sum(idx)))
-            for tab, i in zip(tables, idx):
-                w *= tab[i]
-            if w != 0.0:
-                out[idx] = out.get(idx, 0.0) + w
-    return Polynomial.from_terms(h.dim, out)
+    mono = _change_basis(_theta_scale(h.coeffs.dense(), theta), False)
+    return _wrap(Polynomial, _theta_scale(mono, theta))
+
+
+def _horner(q: np.ndarray, M: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Dense coefficients of x -> q(M x + c), q a polynomial in the last q.ndim
+    variables of y = M x + c: Horner's rule in the first of them, with each of
+    its coefficients (a slice of q) substituted recursively."""
+    d, j = len(c), len(c) - q.ndim
+    out = np.zeros((q.shape[0],) * d)
+    for k in reversed(range(q.shape[0])):
+        if out.any():  # out *= M[j] . x + c[j]: a shift-and-add along each axis
+            prev, out = out, c[j] * out
+            for i in np.flatnonzero(M[j]):
+                lead = (slice(None),) * i
+                out[lead + (slice(1, None),)] += M[j, i] * prev[lead + (slice(None, -1),)]
+        if q.ndim == 1:
+            out[(0,) * d] += q[k]
+        elif q[k].any():
+            out += _horner(q[k], M, c)
+    return out
 
 
 def affine_substitute(p: Polynomial, M, c) -> Polynomial:
@@ -347,30 +381,7 @@ def affine_substitute(p: Polynomial, M, c) -> Polynomial:
         raise DimensionMismatch(f"matrix has shape {M.shape}, expected {(d, d)}")
     if c.shape[0] != d:
         raise DimensionMismatch(f"offset has length {c.shape[0]}, expected {d}")
-    # Linear form fed into coordinate j: sum_k M[j,k] x_k + c[j].
-    forms = []
-    for j in range(d):
-        terms = {tuple(1 if i == k else 0 for i in range(d)): M[j, k] for k in range(d)}
-        terms[(0,) * d] = c[j]
-        forms.append(Polynomial.from_terms(d, terms))
-    max_pow = [0] * d
-    for alpha in p.terms:
-        for j, aj in enumerate(alpha):
-            max_pow[j] = max(max_pow[j], aj)
-    powers = []
-    for j in range(d):
-        pj = [Polynomial.constant(d, 1.0)]
-        for _ in range(max_pow[j]):
-            pj.append(pj[-1] * forms[j])
-        powers.append(pj)
-    result = Polynomial.zero(d)
-    for alpha, coef in p.terms.items():
-        term = Polynomial.constant(d, coef)
-        for j, aj in enumerate(alpha):
-            if aj:
-                term = term * powers[j][aj]
-        result = result + term
-    return result
+    return _wrap(Polynomial, _horner(p.terms.dense(), M, c))
 
 
 # -- JSON schema --------------------------------------------------------------

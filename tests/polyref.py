@@ -1,0 +1,143 @@
+"""Reference implementations of the polynomial kernels, as sparse loops.
+
+These are the term-by-term loops the dense kernels in ``polynormal.polyalg``
+replaced.  They are slow but transparent, and the property tests in
+``test_polykernels.py`` compare the kernels against them.
+"""
+
+import functools
+import itertools
+
+import numpy as np
+
+from polynormal.polyalg import HermiteCoeffs, Polynomial
+
+
+@functools.lru_cache(maxsize=None)
+def hermite_monomial_coeffs(k: int) -> tuple:
+    """Monomial coefficients of He_k: He_k(x) = sum_r out[r] x^r."""
+    if k == 0:
+        return (1.0,)
+    if k == 1:
+        return (0.0, 1.0)
+    prev = hermite_monomial_coeffs(k - 1)
+    prev2 = hermite_monomial_coeffs(k - 2)
+    out = [0.0] * (k + 1)
+    for r, c in enumerate(prev):
+        out[r + 1] += c
+    for r, c in enumerate(prev2):
+        out[r] -= (k - 1) * c
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_hermite_coeffs(k: int) -> tuple:
+    """Hermite coefficients of x^k: x^k = sum_j out[j] He_j(x)."""
+    if k == 0:
+        return (1.0,)
+    prev = monomial_hermite_coeffs(k - 1)
+    # x * He_j = He_{j+1} + j He_{j-1}
+    out = [0.0] * (k + 1)
+    for j, c in enumerate(prev):
+        out[j + 1] += c
+        if j >= 1:
+            out[j - 1] += j * c
+    return tuple(out)
+
+
+def eval_ref(p: Polynomial, x) -> float:
+    total = 0.0
+    for alpha, c in p.terms.items():
+        v = c
+        for xi, ai in zip(x, alpha):
+            if ai:
+                v *= xi**ai
+        total += v
+    return total
+
+
+def grad_eval_ref(p: Polynomial, x) -> np.ndarray:
+    g = np.zeros(p.dim)
+    for alpha, c in p.terms.items():
+        for j, aj in enumerate(alpha):
+            if aj == 0:
+                continue
+            v = c * aj
+            for k, ak in enumerate(alpha):
+                e = ak - 1 if k == j else ak
+                if e:
+                    v *= x[k] ** e
+            g[j] += v
+    return g
+
+
+def _expand(coeffs: dict, table, theta: float = 1.0) -> dict:
+    """sum_a c_a theta^{-|a|} prod_j B_{a_j}(x_j / theta), with B_k = sum_i table(k)[i] x^i."""
+    out: dict = {}
+    for alpha, c in coeffs.items():
+        tables = [table(aj) for aj in alpha]
+        for idx in itertools.product(*(range(len(t)) for t in tables)):
+            w = c * theta ** (-(sum(alpha) + sum(idx)))
+            for tab, i in zip(tables, idx):
+                w *= tab[i]
+            if w != 0.0:
+                out[idx] = out.get(idx, 0.0) + w
+    return out
+
+
+def to_hermite_ref(p: Polynomial) -> HermiteCoeffs:
+    return HermiteCoeffs.from_coeffs(p.dim, _expand(p.terms, monomial_hermite_coeffs))
+
+
+def from_hermite_ref(h: HermiteCoeffs) -> Polynomial:
+    return Polynomial.from_terms(h.dim, _expand(h.coeffs, hermite_monomial_coeffs))
+
+
+def theta_rescale_ref(h: HermiteCoeffs, theta: float) -> Polynomial:
+    return Polynomial.from_terms(h.dim, _expand(h.coeffs, hermite_monomial_coeffs, theta))
+
+
+def mul_ref(a: dict, b: dict) -> dict:
+    """Product of two coefficient maps, term by term."""
+    out: dict = {}
+    for a1, c1 in a.items():
+        for a2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(a1, a2))
+            out[k] = out.get(k, 0.0) + c1 * c2
+    return out
+
+
+def affine_substitute_ref(p: Polynomial, M, c) -> Polynomial:
+    """x -> p(M x + c) from products of powers of the linear forms M[j] . x + c[j],
+    in dict arithmetic of its own."""
+    d = p.dim
+    one = {(0,) * d: 1.0}
+    powers = []
+    for j in range(d):
+        form = {tuple(int(i == k) for i in range(d)): M[j, k] for k in range(d)}
+        form[(0,) * d] = c[j]
+        powers.append([one])
+        for _ in range(max((a[j] for a in p.terms), default=0)):
+            powers[j].append(mul_ref(powers[j][-1], form))
+    out: dict = {}
+    for alpha, coef in p.terms.items():
+        term = {(0,) * d: coef}
+        for j, aj in enumerate(alpha):
+            term = mul_ref(term, powers[j][aj])
+        for k, v in term.items():
+            out[k] = out.get(k, 0.0) + v
+    return Polynomial.from_terms(d, out)
+
+
+def cf_eval_ref(cf, t) -> complex:
+    """Characteristic function at t, with the polynomial part in complex arithmetic."""
+    t = np.asarray(t, dtype=float)
+    it = 1j * t
+    z = 0j
+    for alpha, c in cf.beta.terms.items():
+        v = complex(c)
+        for ti, ai in zip(it, alpha):
+            if ai:
+                v *= ti**ai
+        z += v
+    return z * np.exp(-0.5 * t @ cf.sigma @ t) * np.exp(1j * (cf.shift @ t))

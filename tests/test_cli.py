@@ -52,6 +52,17 @@ def test_validate_negative_polynomial_exits_2(workdir, capsys):
     assert main(["validate", "--input", bad]) == 2
 
 
+@pytest.mark.parametrize(
+    "term",
+    [{"alpha": [2.7], "coef": 1.0}, {"alpha": [2], "coef": float("nan")}, {"alpha": [2], "coef": float("inf")}],
+)
+def test_validate_malformed_terms_exit_2(workdir, capsys, term):
+    data = _pnd_json(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0])
+    data["poly"]["terms"].append(term)
+    assert main(["validate", "--input", _write(workdir / "bad.json", data)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_validate_malformed_json_exits_1(workdir):
     path = workdir / "broken.json"
     path.write_text("{not json")
