@@ -126,8 +126,9 @@ def theta_floor(
 
     A global scan at theta = 1 - 1e-9 checks that start and gives the
     first witness point.  A midpoint is inadmissible only when a local
-    polish from a witness (inside the scan budget's box) reaches a point
-    below the rescale tolerance; that point then replaces the witness.
+    polish from a witness (inside the scan budget's box; all witnesses are
+    polished together) reaches a point below the rescale tolerance; the
+    first such point then replaces its witness.
     The bisection's end point is confirmed by one more global scan.  If
     that scan finds a negative point, the point becomes a witness, every
     theta up to the end point counts as inadmissible, and the bisection
@@ -153,13 +154,11 @@ def theta_floor(
     def refuted(theta: float) -> bool:
         if theta <= refuted_at:
             return True
-        p_theta = theta_rescale(h, theta)
-        for i, w in enumerate(witnesses):
-            point, value = polish_minimum(p_theta, w, budget)
-            if value < RESCALE_TOL:
-                witnesses[i] = point
-                return True
-        return False
+        points, values = polish_minimum(theta_rescale(h, theta), np.array(witnesses), budget)
+        below = np.flatnonzero(values < RESCALE_TOL)
+        if below.size:
+            witnesses[below[0]] = points[below[0]]
+        return bool(below.size)
 
     while True:
         lo, hi = 0.0, start

@@ -7,6 +7,10 @@ Hermite coefficient of the whitened polynomial: under x = L u + b with
 L'AL = I, only the constant term of the Hermite expansion survives the
 Gaussian integral, so norm_const = 1 / beta_0.  Quadrature is kept as an
 independent cross-check (``integral_quadrature``).
+
+Nonnegativity is checked by a multi-start minimum scan over growing boxes
+(``minimize_polynomial``); its local searches are batched projected Newton
+iterations on the exact values, gradients and Hessians of the polynomial.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy.linalg import solve_triangular
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import (
     DimensionMismatch,
@@ -67,7 +69,7 @@ def make_quadform(A) -> QuadForm:
         chol = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    L = solve_triangular(chol, np.eye(A.shape[0]), lower=True).T
+    L = np.linalg.inv(chol).T
     resid = float(np.max(np.abs(L.T @ A @ L - np.eye(A.shape[0]))))
     if resid > WHITEN_TOL:
         raise NotPositiveDefinite(f"whitening residual {resid:.3e} exceeds {WHITEN_TOL}")
@@ -102,7 +104,8 @@ class SearchBudget:
     Each round doubles the box half-width, seeds local searches from the
     origin, the previous best point, the best coarse-grid points, and
     ``starts`` uniform random points (default 2*dim + 1), then polishes
-    with bounded L-BFGS.  Deterministic for a fixed seed.
+    them all at once with box-constrained Newton searches inside the
+    round's box.  Deterministic for a fixed seed.
     """
 
     initial_radius: float = 1.0
@@ -130,28 +133,109 @@ def _grid_candidates(p: Polynomial, radius: float, per_axis: int, keep: int = 3)
     return [pts[i] for i in order]
 
 
-def _lbfgsb(p: Polynomial, start, radius: float):
-    """Local L-BFGS-B minimum of p from start, inside the box [-radius, radius]^d."""
-    res = _scipy_minimize(
-        p.eval,
-        np.clip(np.asarray(start, dtype=float), -radius, radius),
-        jac=p.grad_eval,
-        method="L-BFGS-B",
-        bounds=[(-radius, radius)] * p.dim,
-        options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
-    )
-    return np.asarray(res.x), float(res.fun)
+# Local searches: projected-gradient tolerance, iteration cap, Armijo
+# fraction, step halvings before a line search gives up, and the widest gap
+# to a bound (a fraction of the box's half-width) at which the gradient
+# holds a coordinate there.
+_GTOL = 1e-12
+_MAX_ITER = 500
+_ARMIJO = 1e-4
+_HALVINGS = 40
+_HOLD_GAP = 1e-6
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
-def polish_minimum(p: Polynomial, start, budget: SearchBudget):
-    """Local minimum (point, value) of p from start, inside the box of the
-    budget's last scan round.
+def _local_minima(p: Polynomial, starts, radius: float):
+    """Local minima (points (n, d), values (n,)) of p from each of n starts,
+    inside the box [-radius, radius]^d, all searched at once.
+
+    Projected Newton (Bertsekas, SIAM J. Control Optim. 1982).  Coordinates
+    that the gradient pushes out of the box and that lie within
+    min(_HOLD_GAP * radius, projected gradient) of a bound are held: they
+    step onto the bound.  On the others the step is Newton's with each
+    Hessian eigenvalue replaced by its magnitude, floored so that no
+    eigencomponent of the step is longer than the box's diameter (no inf or
+    NaN on flat or linear pieces).  The step, projected onto the box, is
+    halved until it gives an Armijo decrease.  A start stops when its
+    projected gradient is at most _GTOL, or when the decrease the step
+    predicts is below the rounding of p, or after _MAX_ITER steps -- except
+    where the reduced Hessian has a negative eigenvalue: there (a saddle)
+    it steps along that eigenvector and stops only when no such step lowers
+    p past rounding.  A start's iterates do not depend on the other starts,
+    and no value returned is above that at the start (clipped into the box).
+    """
+    d = p.dim
+    x = np.clip(np.asarray(starts, dtype=float).reshape(-1, d), -radius, radius)
+    f, g, H, mag = p._jet(x)
+    points, values = x.copy(), f.copy()
+    ids = np.arange(len(x))  # the starts still searching; x, f, g, H, mag are theirs
+    reach = 2.0 * radius * math.sqrt(d)  # the box's diameter
+    eye = np.eye(d)
+    for _ in range(_MAX_ITER):
+        if ids.size == 0:
+            break
+        pg = np.abs(x - np.clip(x - g, -radius, radius)).max(axis=1)
+        gap = radius - np.abs(x)
+        held = (gap <= np.minimum(_HOLD_GAP * radius, pg)[:, None]) & (x * g < 0.0)
+        free, gf, Hf, snap = ~held, g, H, 0.0
+        if held.any():
+            gf = g * free
+            Hf = H * (free[:, :, None] & free[:, None, :]) + eye * held[:, None, :]
+            # First-order decrease of moving the held coordinates onto their bounds.
+            snap = np.einsum("mi,mi->m", np.abs(g) * held, gap)
+        w, V = np.linalg.eigh(Hf)
+        c = np.einsum("mij,mi->mj", V, gf)
+        curv = np.maximum(np.maximum(np.abs(w), np.abs(c) * (1.0 / reach)), _TINY)
+        step = np.einsum("mij,mj->mi", V, c / -curv) * free + np.copysign(reach, x) * held
+        gain = np.einsum("mj,mj->m", c, c / curv)  # -g.step on the free coordinates
+        err = (4.0 * _EPS) * mag
+        settled = (pg <= _GTOL) | (0.5 * gain + snap <= err)
+        # Where settled with negative curvature, step along the eigenvector
+        # (downhill, or into the box where level) as far as the box allows;
+        # the decrease must beat rounding.
+        turn = settled & (w[:, 0] < 0.0)
+        bend = floor = 0.0
+        if turn.any():
+            v = V[turn, :, 0] * free[turn]
+            slope, outward = np.einsum("mi,mi->m", gf[turn], v), np.einsum("mi,mi->m", x[turn], v)
+            up = (slope > 0.0) | ((slope == 0.0) & (outward > 0.0))
+            step[turn] = np.where(up, -reach, reach)[:, None] * v
+            gain[turn] = np.abs(np.einsum("mi,mi->m", gf[turn], step[turn]))
+            bend = np.where(turn, -0.5 * reach**2 * w[:, 0], 0.0)
+            floor = np.where(turn, err, 0.0)
+        trying = np.flatnonzero(~settled | turn)
+        alpha = 1.0
+        for _ in range(_HALVINGS):
+            if trying.size == 0:
+                break
+            need = _ARMIJO * (alpha * gain + alpha * alpha * bend + snap) + floor
+            trial = np.clip(x[trying] + alpha * step[trying], -radius, radius)
+            ft, gt, Ht, mt = p._jet(trial)
+            ok = ft <= f[trying] - need[trying]
+            i = trying[ok]
+            x[i], f[i], g[i], H[i], mag[i] = trial[ok], ft[ok], gt[ok], Ht[ok], mt[ok]
+            trying = trying[~ok]
+            alpha *= 0.5
+        done = settled & ~turn
+        done[trying] = True
+        if done.any():
+            points[ids[done]], values[ids[done]] = x[done], f[done]
+            keep = ~done
+            ids, x, f, g, H, mag = ids[keep], x[keep], f[keep], g[keep], H[keep], mag[keep]
+    points[ids], values[ids] = x, f
+    return points, values
+
+
+def polish_minimum(p: Polynomial, starts, budget: SearchBudget):
+    """Local minima (points (n, d), values (n,)) of p from an (n, d) array of
+    starts, inside the box of the budget's last scan round.
 
     The box matters when p is unbounded below: an unbounded descent runs
     off to points so large that rounding in the monomial evaluation makes
     a nonnegative polynomial read negative there.
     """
-    return _lbfgsb(p, start, budget.initial_radius * 2.0**budget.doublings)
+    return _local_minima(p, starts, budget.initial_radius * 2.0**budget.doublings)
 
 
 def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:
@@ -166,7 +250,7 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
     best_pt = np.zeros(d)
-    best_val = p.eval(best_pt)
+    best_val = float(p.eval(best_pt))
     history = [best_val]
     radius = budget.initial_radius
     for _ in range(budget.doublings + 1):
@@ -174,10 +258,10 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
         seeds.extend(_grid_candidates(p, radius, budget.grid_points))
         if n_starts > 0:
             seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
-        for s in seeds:
-            pt, val = _lbfgsb(p, s, radius)
-            if val < best_val:
-                best_val, best_pt = val, pt
+        pts, vals = _local_minima(p, np.array(seeds), radius)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_pt = float(vals[i]), pts[i]
         history.append(best_val)
         if budget.stop_below is not None and best_val < budget.stop_below:
             return MinimizationResult(best_pt, best_val, True)

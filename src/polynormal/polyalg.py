@@ -5,8 +5,8 @@ exponent multi-indices to coefficients, stored as one vector over the indices
 of total degree <= degree.  The algebra runs on the dense (degree+1,)*dim
 array: per-axis contractions with exact integer 1-D tables for basis changes
 to and from He_k (orthogonal under exp(-x^2/2), He_2(x) = x^2 - 1), Horner's
-rule for affine substitution, and one exponent table with rows for the value
-and each partial derivative for evaluation.
+rule for affine substitution, and one exponent table with rows for the value,
+each first and each second partial derivative for evaluation.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ CANON_EPS = 1e-14
 
 
 _Layout = namedtuple("_Layout", "shape total keys index flat")
+
+
+@functools.lru_cache(maxsize=None)
+def _hessian_rows(dim: int) -> np.ndarray:
+    """(dim, dim) rows of the evaluation table holding the second partials."""
+    idx = np.empty((dim, dim), dtype=int)
+    i, j = np.triu_indices(dim)
+    idx[i, j] = idx[j, i] = dim + 1 + np.arange(len(i))
+    idx.setflags(write=False)
+    return idx
 
 
 @functools.lru_cache(maxsize=64)
@@ -208,13 +218,25 @@ class Polynomial(_Expansion):
     def _eval_table(self):
         """(powers, gather positions, coefficient rows) of the evaluation kernel:
         column k is a monomial of p or of a partial derivative, gathered from the
-        flat table x_j ** powers at positions[k]; row 0 is p, row 1 + j dp/dx_j."""
+        flat table x_j ** powers at positions[k]; row 0 is p, row 1 + j dp/dx_j,
+        then one row per second partial d2p/dx_i dx_j, i <= j, in that order."""
         d, n = self.dim, self.degree + 1
-        dense = self.terms.dense()
-        # d/dx_j: scale by the exponent along axis j, shift down by one.
-        rows = [np.roll(dense * np.arange(n).reshape([n] + [1] * (d - 1 - j)), -1, axis=j)
-                for j in range(d)]
-        stack = np.stack([dense] + rows).reshape(d + 1, -1)
+        pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        rows = np.zeros((1 + d + len(pairs),) + (n,) * d)
+        rows[0] = self.terms.dense()
+        exponent = np.arange(1, n, dtype=float)
+
+        def partial(src, dst, j):  # scale by the exponent along axis j, shift down by one
+            lead = (slice(None),) * j
+            rows[(dst,) + lead + (slice(-1),)] = (
+                rows[(src,) + lead + (slice(1, None),)] * exponent.reshape([n - 1] + [1] * (d - 1 - j))
+            )
+
+        for j in range(d):
+            partial(0, 1 + j, j)
+        for k, (i, j) in enumerate(pairs):
+            partial(1 + i, 1 + d + k, j)
+        stack = rows.reshape(len(rows), -1)
         cols = np.flatnonzero(stack.any(axis=0))
         exps = np.stack(np.unravel_index(cols, (n,) * d), axis=1)
         return np.arange(n), exps + n * np.arange(d), stack[:, cols]
@@ -228,18 +250,22 @@ class Polynomial(_Expansion):
         table = (x[..., None] ** powers).reshape(x.shape[:-1] + (-1,))
         return table[..., positions].prod(axis=-1)
 
-    def _at(self, x) -> np.ndarray:
-        """[p, dp/dx_1, ..., dp/dx_dim] at one point.  The last point's values
-        are kept: L-BFGS-B asks for the value, then the gradient, at each point."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        key, last = x.tobytes(), self.__dict__.get("_last")
-        if last is None or last[0] != key:
-            last = self.__dict__["_last"] = (key, self._eval_table[2] @ self._monomials(x))
-        return last[1]
+    def _jet(self, pts: np.ndarray):
+        """Values (n,), gradients (n, dim), Hessians (n, dim, dim) and the sums of
+        the terms' magnitudes (n,), which bound the rounding of the values, at
+        an (n, dim) array of points."""
+        d = self.dim
+        mono = self._monomials(pts)
+        rows = self._eval_table[2]
+        # einsum sums each point's row alone, in one order whatever the batch
+        # (a BLAS product does not), so a point's result does not depend on it.
+        out = np.einsum("nk,rk->nr", mono, rows)
+        mag = np.einsum("nk,k->n", np.abs(mono), np.abs(rows[0]))
+        return out[:, 0], out[:, 1:d + 1], out[:, _hessian_rows(d)], mag
 
     def eval(self, x) -> float:
         """Evaluate at a single point of R^dim."""
-        return self._at(x)[0]
+        return self._monomials(np.asarray(x, dtype=float).reshape(-1)) @ self._eval_table[2][0]
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, dim) array of points at once."""
@@ -250,7 +276,8 @@ class Polynomial(_Expansion):
 
     def grad_eval(self, x) -> np.ndarray:
         """Gradient at a single point."""
-        return self._at(x)[1:].copy()
+        mono = self._monomials(np.asarray(x, dtype=float).reshape(-1))
+        return self._eval_table[2][1:self.dim + 1] @ mono
 
 
 @dataclass(frozen=True)

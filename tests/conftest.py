@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from polynormal import Example4Params, SearchBudget, make_pnd
 from polynormal import pnd as pnd_module
@@ -55,6 +56,23 @@ def all_multiindices(dim: int, max_degree: int):
         for alpha in itertools.product(range(max_degree + 1), repeat=dim)
         if sum(alpha) <= max_degree
     ]
+
+
+@st.composite
+def polynomials(draw, max_dim=3, max_degree=8):
+    """A random polynomial: dimension, degree, share of nonzero terms and
+    coefficient scale drawn by hypothesis, coefficients from a drawn seed."""
+    d = draw(st.integers(1, max_dim))
+    degree = draw(st.integers(0, max_degree))
+    keep = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = {
+        alpha: rng.uniform(-scale, scale)
+        for alpha in all_multiindices(d, degree)
+        if rng.random() < keep
+    }
+    return Polynomial.from_terms(d, terms), rng
 
 
 def random_signed_poly(rng, dim: int, max_degree: int, scale: float = 10.0) -> Polynomial:

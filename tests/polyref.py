@@ -2,14 +2,19 @@
 
 These are the term-by-term loops the dense kernels in ``polynormal.polyalg``
 replaced.  They are slow but transparent, and the property tests in
-``test_polykernels.py`` compare the kernels against them.
+``test_polykernels.py`` compare the kernels against them.  The multi-start
+minimum scan that ran one scipy L-BFGS-B search per start is kept as the
+reference for the batched local searches of ``polynormal.pnd``
+(``test_local_search.py``).
 """
 
 import functools
 import itertools
 
 import numpy as np
+from scipy.optimize import minimize as scipy_minimize
 
+from polynormal.pnd import SearchBudget, _grid_candidates
 from polynormal.polyalg import HermiteCoeffs, Polynomial
 
 
@@ -69,6 +74,23 @@ def grad_eval_ref(p: Polynomial, x) -> np.ndarray:
                     v *= x[k] ** e
             g[j] += v
     return g
+
+
+def hessian_eval_ref(p: Polynomial, x) -> np.ndarray:
+    H = np.zeros((p.dim, p.dim))
+    for alpha, c in p.terms.items():
+        for i, j in itertools.product(range(p.dim), repeat=2):
+            e = list(alpha)
+            v = c * e[i]
+            e[i] -= 1
+            v *= e[j]
+            e[j] -= 1
+            if v:
+                for xk, ek in zip(x, e):
+                    if ek:
+                        v *= xk**ek
+                H[i, j] += v
+    return H
 
 
 def _expand(coeffs: dict, table, theta: float = 1.0) -> dict:
@@ -141,3 +163,38 @@ def cf_eval_ref(cf, t) -> complex:
                 v *= ti**ai
         z += v
     return z * np.exp(-0.5 * t @ cf.sigma @ t) * np.exp(1j * (cf.shift @ t))
+
+
+def lbfgsb_ref(p: Polynomial, start, radius: float):
+    """Local L-BFGS-B minimum (point, value) of p from start, inside [-radius, radius]^d."""
+    res = scipy_minimize(
+        p.eval,
+        np.clip(np.asarray(start, dtype=float), -radius, radius),
+        jac=p.grad_eval,
+        method="L-BFGS-B",
+        bounds=[(-radius, radius)] * p.dim,
+        options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
+    )
+    return np.asarray(res.x), float(res.fun)
+
+
+def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:
+    """Lowest value of the multi-start scan with one L-BFGS-B search per start:
+    the same seeds, round by round, as ``pnd.minimize_polynomial``."""
+    d = p.dim
+    rng = np.random.default_rng(budget.seed)
+    n_starts = budget.starts if budget.starts is not None else 2 * d + 1
+    best_pt, best_val = np.zeros(d), p.eval(np.zeros(d))
+    radius = budget.initial_radius
+    for _ in range(budget.doublings + 1):
+        seeds = [np.zeros(d), best_pt] + list(_grid_candidates(p, radius, budget.grid_points))
+        if n_starts > 0:
+            seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
+        for s in seeds:
+            pt, val = lbfgsb_ref(p, s, radius)
+            if val < best_val:
+                best_val, best_pt = val, pt
+        if budget.stop_below is not None and best_val < budget.stop_below:
+            break
+        radius *= 2.0
+    return best_val

@@ -1,6 +1,7 @@
 """Quadratic forms, density normalization, and the minimum scan."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +58,20 @@ def test_quadform_random_whitening_residual():
         d = int(rng.integers(1, 4))
         qf = make_quadform(random_pd_matrix(rng, d))
         assert np.max(np.abs(qf.whitener.T @ qf.matrix @ qf.whitener - np.eye(d))) <= 1e-10
+
+
+def test_whitening_and_scans_run_on_one_core():
+    # A BLAS call that wakes OpenBLAS's worker threads leaves them spinning,
+    # so the process would use about two CPU seconds per second of wall time.
+    A = random_pd_matrix(np.random.default_rng(3), 3)
+    p = Polynomial.from_terms(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0, (2, 1, 0): -1.0, (0, 0, 0): 1.0})
+    budget = SearchBudget(doublings=0, starts=2, grid_points=0)
+    minimize_polynomial(p, budget)  # builds the evaluation table outside the timing
+    cpu, wall = time.process_time(), time.perf_counter()
+    while time.perf_counter() - wall < 0.3:
+        make_quadform(A)
+        minimize_polynomial(p, budget)
+    assert (time.process_time() - cpu) / (time.perf_counter() - wall) <= 1.5
 
 
 def test_make_pnd_reference_quartic_norm(example4_pnd):

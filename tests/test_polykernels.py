@@ -1,7 +1,8 @@
 """The dense polynomial kernels against the sparse reference loops.
 
-Each kernel of ``polynormal.polyalg`` (evaluation, gradient, products, the
-Hermite basis changes, the theta family and affine substitution) and
+Each kernel of ``polynormal.polyalg`` (evaluation, gradient, Hessian,
+products, the Hermite basis changes, the theta family and affine
+substitution) and
 ``charfn.cf_eval`` must match its loop in ``polyref`` within
 1e-12 * max(1, largest coefficient) for d = 1..3 and degree <= 8.
 Evaluation points lie in [-1, 1]^d, where that scale bounds every value.
@@ -25,13 +26,14 @@ from polynormal.polyalg import (
     to_hermite,
 )
 
-from conftest import all_multiindices
+from conftest import all_multiindices, polynomials
 from polyref import (
     affine_substitute_ref,
     cf_eval_ref,
     eval_ref,
     from_hermite_ref,
     grad_eval_ref,
+    hessian_eval_ref,
     mul_ref,
     theta_rescale_ref,
     to_hermite_ref,
@@ -39,23 +41,6 @@ from polyref import (
 
 TOL = 1e-12
 FAST = settings(max_examples=40, deadline=None)
-
-
-@st.composite
-def polynomials(draw, max_dim=3, max_degree=8):
-    """A random polynomial: dimension, degree, share of nonzero terms and
-    coefficient scale drawn by hypothesis, coefficients from a drawn seed."""
-    d = draw(st.integers(1, max_dim))
-    degree = draw(st.integers(0, max_degree))
-    keep = draw(st.sampled_from([0.3, 0.7, 1.0]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    terms = {
-        alpha: rng.uniform(-scale, scale)
-        for alpha in all_multiindices(d, degree)
-        if rng.random() < keep
-    }
-    return Polynomial.from_terms(d, terms), rng
 
 
 def _scale(*maps) -> float:
@@ -75,6 +60,21 @@ def test_eval_and_gradient_match_the_loops(case):
         assert abs(p.eval(x) - eval_ref(p, x)) <= TOL * scale
         # The partials' coefficients are up to degree * the largest coefficient.
         assert np.max(np.abs(p.grad_eval(x) - grad_eval_ref(p, x))) <= TOL * scale * max(1, p.degree)
+
+
+@FAST
+@given(polynomials())
+def test_batched_values_gradients_and_hessians_match_the_loops(case):
+    p, rng = case
+    scale = _scale(p.terms)
+    pts = rng.uniform(-1.0, 1.0, size=(5, p.dim))
+    values, grads, hessians, magnitudes = p._jet(pts)
+    assert hessians.shape == (5, p.dim, p.dim)
+    for x, v, g, H, m in zip(pts, values, grads, hessians, magnitudes):
+        assert abs(v - eval_ref(p, x)) <= TOL * scale
+        assert np.max(np.abs(g - grad_eval_ref(p, x))) <= TOL * scale * max(1, p.degree)
+        assert np.max(np.abs(H - hessian_eval_ref(p, x))) <= TOL * scale * max(1, p.degree) ** 2
+        assert m == pytest.approx(sum(abs(c * np.prod(x ** np.array(a))) for a, c in p.terms.items()), rel=1e-12)
 
 
 @FAST
