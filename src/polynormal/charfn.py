@@ -4,7 +4,7 @@ characteristic functions.
 A characteristic function is stored as sum_a beta_a (i t)^a
 * exp(-t' Sigma t / 2) * exp(i b . t) with real beta_a.  Keeping the
 polynomial part in the (i t)^a representation keeps all coefficient
-arithmetic real; the i^{|a|} bookkeeping is confined to ``cf_eval``.
+arithmetic real; the i^{|a|} bookkeeping is confined to ``real_imag_parts``.
 
 Forward convention: phi(t) = integral of exp(i t . x) f(x) dx.  For a
 density with quadratic form A, whitener L and shift b:
@@ -30,6 +30,8 @@ from .pnd import PND, SearchBudget, make_pnd, make_quadform, whitened_poly
 from .polyalg import (
     HermiteCoeffs,
     Polynomial,
+    _layout,
+    _wrap,
     affine_substitute,
     from_hermite,
     polynomial_from_dict,
@@ -66,8 +68,7 @@ def make_charfn(beta: Polynomial, sigma, shift) -> CharFn:
             f"rescaling characteristic function: constant coefficient was {beta0:.6g}",
             stacklevel=2,
         )
-        beta = beta * (1.0 / beta0)
-    elif beta0 != 1.0:
+    if beta0 != 1.0:
         beta = beta * (1.0 / beta0)
     shift.setflags(write=False)
     return CharFn(form.dim, beta, form.matrix, shift)
@@ -135,12 +136,12 @@ def real_imag_parts(cf: CharFn):
 
     Returns (re, im) with sum beta_a (i t)^a = re(t) + i * im(t).
     """
-    re: dict = {}
-    im: dict = {}
-    for alpha, c in cf.beta.terms.items():
-        k = sum(alpha)  # i^k = (-1)^(k // 2), times i when k is odd
-        (im if k % 2 else re)[alpha] = c * (-1.0) ** (k // 2)
-    return Polynomial.from_terms(cf.dim, re), Polynomial.from_terms(cf.dim, im)
+    arr = cf.beta.terms.dense()
+    k = _layout(arr.ndim, arr.shape[0] - 1).total % 4  # i^k = 1, i, -1, -i
+    return (
+        _wrap(Polynomial, arr * np.array([1.0, 0.0, -1.0, 0.0])[k]),
+        _wrap(Polynomial, arr * np.array([0.0, 1.0, 0.0, -1.0])[k]),
+    )
 
 
 # -- JSON schema ---------------------------------------------------------------

@@ -8,9 +8,10 @@ configuration produce byte-identical JSON outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .charfn import (
     real_imag_parts,
 )
 from .decompose import (
+    DEFAULT_THETA_TOL,
     VERDICT_FAILS_CONDITION_337,
     VERDICT_HAS_REAL_ZERO,
     decompose,
@@ -65,10 +67,10 @@ EXIT_CONDITION = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run options shared by every subcommand."""
+    """Validated run options shared by every subcommand; the field names
+    are the argparse destinations of the global options."""
 
-    theta_tol: float = 1e-6
-    grid_tol: float = 1e-4
+    theta_tol: float = DEFAULT_THETA_TOL
     quadrature_order: int | None = None
     seed: int = 0
     out: str | None = None
@@ -77,17 +79,11 @@ class RunConfig:
     @staticmethod
     def from_args(args) -> "RunConfig":
         # Global options use SUPPRESS defaults (they are shared between the
-        # top-level parser and every subcommand), so fall back here.
-        cfg = RunConfig(
-            theta_tol=getattr(args, "tol", 1e-6),
-            grid_tol=getattr(args, "grid_tol", 1e-4),
-            quadrature_order=getattr(args, "quadrature_order", None),
-            seed=getattr(args, "seed", 0),
-            out=getattr(args, "out", None),
-            verbose=getattr(args, "verbose", False),
-        )
-        if cfg.theta_tol <= 0.0 or cfg.grid_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        # top-level parser and every subcommand), so only given ones are set.
+        given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+        cfg = RunConfig(**given)
+        if not 0.0 < cfg.theta_tol < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {cfg.theta_tol}")
         if cfg.quadrature_order is not None and cfg.quadrature_order <= 0:
             raise ValueError("quadrature order must be positive")
         return cfg
@@ -190,7 +186,7 @@ def _verdict_table(diag) -> str:
 
 def _cmd_diagnose(args, cfg: RunConfig) -> int:
     pnd = _load_pnd(args.input, cfg)
-    diag = precheck(pnd, cfg.budget(), cfg.grid_tol)
+    diag = precheck(pnd, cfg.budget())
     _note(cfg, _verdict_table(diag))
     _emit(diagnosis_to_dict(diag), cfg)
     return EXIT_OK
@@ -198,9 +194,8 @@ def _cmd_diagnose(args, cfg: RunConfig) -> int:
 
 def _cmd_decompose(args, cfg: RunConfig) -> int:
     pnd = _load_pnd(args.input, cfg)
-    diag = precheck(pnd, cfg.budget(), cfg.grid_tol)
     try:
-        dec = decompose(pnd, theta=args.theta, tol=cfg.theta_tol, budget=cfg.budget(), diagnosis=diag)
+        dec = decompose(pnd, theta=args.theta, tol=cfg.theta_tol, budget=cfg.budget())
     except NotEligible as exc:
         _emit({"error": str(exc), "diagnosis": diagnosis_to_dict(exc.diagnosis)}, cfg)
         if exc.diagnosis.verdict == VERDICT_HAS_REAL_ZERO:
@@ -208,10 +203,8 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
         if exc.diagnosis.verdict == VERDICT_FAILS_CONDITION_337:
             return EXIT_CONDITION
         return EXIT_INVALID
-    out = decomposition_to_dict(dec)
-    out["diagnosis"] = diagnosis_to_dict(diag)
     _note(cfg, f"theta = {dec.theta:.9g}, min of rescaled polynomial = {dec.min_p_theta:.3e}")
-    _emit(out, cfg)
+    _emit(decomposition_to_dict(dec), cfg)
     return EXIT_OK
 
 
@@ -295,17 +288,16 @@ def _cmd_probe(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Global options live on a parent so they can appear before or after the
     # subcommand; SUPPRESS keeps subcommand-position values from clobbering
-    # top-level ones with defaults.
+    # top-level ones with defaults.  Their defaults are RunConfig's.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="theta bisection tolerance (default 1e-6)")
-    common.add_argument("--grid-tol", type=float, default=argparse.SUPPRESS,
-                        help="grid refinement tolerance for infimum estimates (default 1e-4)")
+    common.add_argument("--tol", dest="theta_tol", metavar="TOL", type=float, default=argparse.SUPPRESS,
+                        help=f"theta bisection tolerance (default {RunConfig.theta_tol:g})")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for all randomized searches (default 0)")
+                        help=f"seed for all randomized searches (default {RunConfig.seed})")
     common.add_argument("--out", "--output", dest="out", default=argparse.SUPPRESS,
                         help="output JSON path (default stdout)")
     common.add_argument("--quadrature-order", type=int, default=argparse.SUPPRESS,

@@ -21,7 +21,7 @@ this search, not a claim about every conceivable factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,24 +81,25 @@ class GaussianFactor:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """A split f = factor_Y * factor_Z and the precheck it was decided on."""
+
     theta: float
     factor_Y: PND
     factor_Z: GaussianFactor
     min_p_theta: float
     cf_error: float
-    conv_error: float | None = None
+    diagnosis: Diagnosis
 
 
-def precheck(
-    pnd: PND, budget: SearchBudget | None = None, grid_tol: float = 1e-4
-) -> Diagnosis:
+def precheck(pnd: PND, budget: SearchBudget | None = None) -> Diagnosis:
     """Zero detection, then the axis condition on the whitened polynomial.
 
-    The zero scan is the one ``make_pnd`` made when the budgets match.
+    The zero scan is the one ``make_pnd`` made when the budgets match; the
+    infimum grid of the report refines to ``positivity.GRID_REFINE_TOL``.
     """
     scan = find_min_poly(pnd, budget)
     q = whitened_poly(pnd)
-    report = epsilon_bound(q, grid_tol)
+    report = epsilon_bound(q)
     if scan.value <= ZERO_TOL and scan.attained:
         return Diagnosis(
             VERDICT_HAS_REAL_ZERO,
@@ -137,8 +138,8 @@ def theta_floor(
     theta is always confirmed by a global scan, and unless the search ran
     down to 0, a theta at most tol below it has an explicit negative point.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     budget = budget or PROBE_BUDGET
     if h.degree == 0:
         return tol
@@ -182,20 +183,22 @@ def decompose(
     theta: float | None = None,
     tol: float = DEFAULT_THETA_TOL,
     budget: SearchBudget | None = None,
-    diagnosis: Diagnosis | None = None,
 ) -> Decomposition:
     """Split a PND into a polynomial-normal factor and a Gaussian factor.
 
-    With no explicit theta, picks theta_floor + tol: the largest Gaussian
-    factor this search can certify.  The shift lands in the Gaussian
-    factor; factor_Y is centered.
+    Raises ``NotEligible`` unless ``precheck`` finds the density Eligible;
+    the result carries that diagnosis.  With no explicit theta, picks
+    theta_floor + tol: the largest Gaussian factor this search, seeded by
+    ``budget`` like every scan here, can certify.  The shift lands in the
+    Gaussian factor; factor_Y is centered.
     """
-    diag = diagnosis or precheck(pnd, budget)
+    budget = budget or SearchBudget()
+    diag = precheck(pnd, budget)
     if diag.verdict != VERDICT_ELIGIBLE:
         raise NotEligible(diag)
     h = to_hermite(whitened_poly(pnd))
     if theta is None:
-        floor = theta_floor(h, tol)
+        floor = theta_floor(h, tol, replace(PROBE_BUDGET, seed=budget.seed))
         theta = min(floor + tol, 1.0 - 1e-9)
     elif not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -221,7 +224,7 @@ def decompose(
         raise RuntimeError(
             f"internal factorization check failed: coefficient error {cf_error:.3e}"
         )
-    return Decomposition(theta, factor_y, factor_z, float(scan.value), cf_error)
+    return Decomposition(theta, factor_y, factor_z, float(scan.value), cf_error, diag)
 
 
 def _cf_product_error(pnd: PND, factor_y: PND, factor_z: GaussianFactor) -> float:
@@ -266,5 +269,5 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
         "factor_Z": gaussian_to_dict(dec.factor_Z),
         "min_p_theta": float(dec.min_p_theta),
         "cf_error": float(dec.cf_error),
-        "conv_error": dec.conv_error,
+        "diagnosis": diagnosis_to_dict(dec.diagnosis),
     }

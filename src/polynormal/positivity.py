@@ -100,7 +100,7 @@ def _tail_radius(p: Polynomial, b0: float) -> float:
     return float(brentq(lambda r: tail(r) - target, 0.0, hi, xtol=1e-9, rtol=1e-12))
 
 
-def _ratio_min_on_ball(p: Polynomial, radius: float, two_m: int, refine_tol: float) -> float:
+def _ratio_min_on_ball(p: Polynomial, radius: float, two_m: int) -> float:
     """Grid-refined minimum of Q / (1 + sum x_j^{2m}) over the closed l1 ball."""
 
     def ratio_many(pts):
@@ -128,7 +128,7 @@ def _ratio_min_on_ball(p: Polynomial, radius: float, two_m: int, refine_tol: flo
             if vals[i] < best_val:
                 best_val = float(vals[i])
                 best_pt = pts[i]
-        if prev != math.inf and abs(prev - best_val) <= refine_tol * max(1e-12, abs(prev)):
+        if prev != math.inf and abs(prev - best_val) <= GRID_REFINE_TOL * max(1e-12, abs(prev)):
             break
         prev = best_val
         center = best_pt
@@ -140,7 +140,7 @@ def _ratio_min_on_ball(p: Polynomial, radius: float, two_m: int, refine_tol: flo
     return best_val
 
 
-def estimate_inf_b(p: Polynomial, refine_tol: float = GRID_REFINE_TOL):
+def estimate_inf_b(p: Polynomial):
     """Estimate of inf Q / (1 + sum |x_j|^{2m}) and the search radius used.
 
     Requires the axis condition; the caller is responsible for having
@@ -152,10 +152,10 @@ def estimate_inf_b(p: Polynomial, refine_tol: float = GRID_REFINE_TOL):
         raise ConditionFailed(f"axis-leading coefficients {coeffs} are not all positive")
     b0 = float(np.min(coeffs))
     radius = max(_tail_radius(p, b0), 1.0)
-    return _ratio_min_on_ball(p, radius, two_m, refine_tol), radius
+    return _ratio_min_on_ball(p, radius, two_m), radius
 
 
-def epsilon_bound(p: Polynomial, refine_tol: float = GRID_REFINE_TOL) -> PositivityReport:
+def epsilon_bound(p: Polynomial) -> PositivityReport:
     """Full positivity report with the perturbation radius.
 
     When the axis condition fails the infimum is genuinely 0, so the
@@ -168,7 +168,7 @@ def epsilon_bound(p: Polynomial, refine_tol: float = GRID_REFINE_TOL) -> Positiv
     ok = bool(np.all(coeffs > LEADING_COEFF_TOL))
     if not ok:
         return PositivityReport(False, coeffs, 0.0, 0.0, 0.0, 0.0, count)
-    inf_b, radius = estimate_inf_b(p, refine_tol)
+    inf_b, radius = estimate_inf_b(p)
     inf_a_lower = inf_b / ((1.0 + count) * (1.0 + d) ** two_m)
     return PositivityReport(
         condition337=True,

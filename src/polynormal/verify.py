@@ -326,6 +326,8 @@ def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) ->
         raise DimensionMismatch(f"polynomial must be bivariate, got dim {P.dim}")
     if P.degree > 4:
         raise ValueError(f"polynomial must have total degree at most 4, got {P.degree}")
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     target = np.zeros(len(_QUARTIC_EXPS))
     for alpha, c in P.terms.items():
         target[_QUARTIC_POS[alpha]] = c

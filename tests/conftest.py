@@ -27,22 +27,36 @@ def example4_pnd():
     return make_pnd(example4_poly(), np.eye(2), np.zeros(2))
 
 
-@pytest.fixture
-def scan_calls(monkeypatch):
-    """Polynomials passed to global minimum scans (``minimize_polynomial``),
-    wherever in the package the scan is looked up from."""
-    calls = []
+def _record_scans(monkeypatch, record):
+    """Call ``record(p, budget)`` (default budget filled in) on every global
+    minimum scan (``minimize_polynomial``), wherever in the package the scan
+    is looked up from."""
     original = pnd_module.minimize_polynomial
 
-    def counting(p, *args, **kwargs):
-        calls.append(p)
-        return original(p, *args, **kwargs)
+    def recording(p, budget=None):
+        record(p, budget or SearchBudget())
+        return original(p, budget)
 
     for name, module in list(sys.modules.items()):
         if name == "polynormal" or name.startswith("polynormal."):
             if getattr(module, "minimize_polynomial", None) is original:
-                monkeypatch.setattr(module, "minimize_polynomial", counting)
+                monkeypatch.setattr(module, "minimize_polynomial", recording)
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Polynomials passed to global minimum scans."""
+    calls = []
+    _record_scans(monkeypatch, lambda p, budget: calls.append(p))
     return calls
+
+
+@pytest.fixture
+def scan_budgets(monkeypatch):
+    """Budgets of global minimum scans."""
+    budgets = []
+    _record_scans(monkeypatch, lambda p, budget: budgets.append(budget))
+    return budgets
 
 
 def eligible_quartic_poly() -> Polynomial:

@@ -165,6 +165,16 @@ def cf_eval_ref(cf, t) -> complex:
     return z * np.exp(-0.5 * t @ cf.sigma @ t) * np.exp(1j * (cf.shift @ t))
 
 
+def real_imag_parts_ref(cf):
+    """(re, im) with sum beta_a (i t)^a = re(t) + i * im(t), term by term."""
+    re: dict = {}
+    im: dict = {}
+    for alpha, c in cf.beta.terms.items():
+        k = sum(alpha)  # i^k = (-1)^(k // 2), times i when k is odd
+        (im if k % 2 else re)[alpha] = c * (-1.0) ** (k // 2)
+    return Polynomial.from_terms(cf.dim, re), Polynomial.from_terms(cf.dim, im)
+
+
 def lbfgsb_ref(p: Polynomial, start, radius: float):
     """Local L-BFGS-B minimum (point, value) of p from start, inside [-radius, radius]^d."""
     res = scipy_minimize(

@@ -122,7 +122,7 @@ def test_criterion_4_desk_scale_instance():
     p = example4_poly() + Polynomial.from_terms(2, {(4, 0): 0.1, (0, 4): 0.1})
     pnd = make_pnd(p, np.eye(2), np.zeros(2))
     diag = precheck(pnd)
-    dec = decompose(pnd, tol=1e-4, diagnosis=diag)
+    dec = decompose(pnd, tol=1e-4)
     axis = np.linspace(-4.0, 4.0, 5)
     grid = np.array(list(itertools.product(axis, axis)))
     report = convolution_check(pnd, dec.factor_Y, dec.factor_Z, grid)

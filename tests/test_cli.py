@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polynormal.cli import main
+from polynormal.decompose import PROBE_BUDGET
 from polynormal.polyalg import Polynomial, polynomial_to_dict
 
 from conftest import eligible_quartic_poly, example4_poly
@@ -161,6 +163,18 @@ def test_decompose_scans_at_most_four_times(workdir, scan_calls):
     assert len(scan_calls) <= 4
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_decompose_seeds_every_scan(workdir, scan_budgets, seed):
+    path = _write(
+        workdir / "quartic.json", _pnd_json(eligible_quartic_poly(), np.eye(2), np.zeros(2))
+    )
+    argv = ["--seed", str(seed), "--out", str(workdir / "dec.json"), "decompose", "--input", path]
+    assert main(argv) == 0
+    assert scan_budgets and all(b.seed == seed for b in scan_budgets)
+    theta_search = [b for b in scan_budgets if b.doublings == PROBE_BUDGET.doublings]
+    assert theta_search and all(b == replace(PROBE_BUDGET, seed=seed) for b in theta_search)
+
+
 def test_validate_scans_once(workdir, example4_json, scan_calls):
     assert main(["--out", str(workdir / "v.json"), "validate", "--input", example4_json]) == 0
     assert len(scan_calls) == 1
@@ -239,6 +253,29 @@ def test_probe_command(workdir, capsys):
     assert main(["probe", "--poly", path, "--starts", "25"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_probe_without_starts_exits_2(workdir, capsys, starts):
+    P = Polynomial.from_terms(2, {(2, 2): 1.0, (0, 0): 1.0})
+    path = _write(workdir / "P.json", polynomial_to_dict(P))
+    assert main(["probe", "--poly", path, "--starts", starts]) == 2
+    assert "starts must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-6"])
+def test_decompose_rejects_tolerances_not_finite_and_positive(workdir, capsys, tol):
+    path = _write(
+        workdir / "quartic.json", _pnd_json(eligible_quartic_poly(), np.eye(2), np.zeros(2))
+    )
+    assert main([f"--tol={tol}", "decompose", "--input", path]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+
+
+def test_grid_tol_is_not_an_option(workdir, example4_json, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--input", example4_json, "--grid-tol", "1e-3"])
+    assert exc.value.code == 2
 
 
 def test_outputs_are_deterministic(workdir, example4_json):

@@ -1,6 +1,7 @@
 """Precheck, theta search, and the Gaussian-factor split."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from polynormal.decompose import (
     VERDICT_FAILS_CONDITION_337,
     VERDICT_HAS_REAL_ZERO,
     decompose,
+    diagnosis_to_dict,
     precheck,
     theta_floor,
 )
@@ -170,6 +172,13 @@ def test_theta_floor_rejects_nonpositive_input():
         theta_floor(h, tol=1e-4)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+def test_theta_floor_rejects_tolerances_not_finite_and_positive(tol):
+    h = to_hermite(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}))
+    with pytest.raises(ValueError, match="finite and positive"):
+        theta_floor(h, tol=tol)
+
+
 def test_decompose_1d_closed_form():
     pnd = make_pnd(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0])
     theta = math.sqrt(0.5)
@@ -215,6 +224,22 @@ def test_decompose_default_theta_is_near_floor():
     dec = decompose(pnd, tol=1e-6)
     assert dec.theta == pytest.approx(math.sqrt(0.5), abs=3e-6)
     assert dec.min_p_theta >= -1e-12
+
+
+def test_decompose_carries_its_precheck(monkeypatch):
+    module = sys.modules["polynormal.decompose"]  # the package re-exports the function
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return epsilon_bound(q)
+
+    monkeypatch.setattr(module, "epsilon_bound", counting)
+    pnd = make_pnd(desk_quartic_poly(), np.eye(2), np.zeros(2))
+    dec = decompose(pnd, tol=1e-4)
+    assert len(calls) == 1
+    assert diagnosis_to_dict(dec.diagnosis) == diagnosis_to_dict(precheck(pnd))
+    assert dec.diagnosis.verdict == VERDICT_ELIGIBLE
 
 
 def test_decompose_shift_equivariance():

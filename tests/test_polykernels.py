@@ -4,7 +4,8 @@ Each kernel of ``polynormal.polyalg`` (evaluation, gradient, Hessian,
 products, the Hermite basis changes, the theta family and affine
 substitution) and
 ``charfn.cf_eval`` must match its loop in ``polyref`` within
-1e-12 * max(1, largest coefficient) for d = 1..3 and degree <= 8.
+1e-12 * max(1, largest coefficient) for d = 1..3 and degree <= 8;
+``charfn.real_imag_parts`` only moves signs, so it must match exactly.
 Evaluation points lie in [-1, 1]^d, where that scale bounds every value.
 """
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polynormal.charfn import cf_eval, make_charfn
+from polynormal.charfn import CharFn, cf_eval, make_charfn, real_imag_parts
 from polynormal.errors import DimensionMismatch
 from polynormal.polyalg import (
     HermiteCoeffs,
@@ -35,6 +36,7 @@ from polyref import (
     grad_eval_ref,
     hessian_eval_ref,
     mul_ref,
+    real_imag_parts_ref,
     theta_rescale_ref,
     to_hermite_ref,
 )
@@ -162,6 +164,16 @@ def test_cf_eval_matches_the_complex_loop(case):
     cf = make_charfn(beta, W @ W.T + np.eye(p.dim), rng.uniform(-1.0, 1.0, size=p.dim))
     for t in rng.uniform(-1.0, 1.0, size=(4, p.dim)):
         assert abs(cf_eval(cf, t) - cf_eval_ref(cf, t)) <= TOL * _scale(cf.beta.terms)
+
+
+@FAST
+@given(polynomials())
+def test_real_imag_parts_match_the_loop(case):
+    p, _ = case
+    cf = CharFn(p.dim, p, np.eye(p.dim), np.zeros(p.dim))
+    for part, ref in zip(real_imag_parts(cf), real_imag_parts_ref(cf)):
+        assert part.dim == ref.dim and part.degree == ref.degree
+        assert dict(part.terms) == dict(ref.terms)
 
 
 def test_affine_substitute_d5_degree6_memory():
