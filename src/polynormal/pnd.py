@@ -11,12 +11,17 @@ independent cross-check (``integral_quadrature``).
 Nonnegativity is checked by a multi-start minimum scan over growing boxes
 (``minimize_polynomial``); its local searches are batched projected Newton
 iterations on the exact values, gradients and Hessians of the polynomial.
+One batch holds the seeds of every round, each start in its own round's
+box; only the running best point, which depends on earlier rounds, is
+polished round by round.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,11 +106,14 @@ class PND:
 class SearchBudget:
     """Configuration for multi-start minimization over expanding boxes.
 
-    Each round doubles the box half-width, seeds local searches from the
-    origin, the previous best point, the best coarse-grid points, and
-    ``starts`` uniform random points (default 2*dim + 1), then polishes
-    them all at once with box-constrained Newton searches inside the
-    round's box.  Deterministic for a fixed seed.
+    Round k (k = 0..doublings) searches the box of half-width
+    initial_radius * 2**k from the origin, the previous best point, the
+    best coarse-grid points (``grid_points`` per axis) and ``starts``
+    uniform random points (default 2*dim + 1) with box-constrained Newton
+    searches.  All rounds' seeds but the previous best point are drawn up
+    front and searched in one batch; the best point, which depends on the
+    earlier rounds, is polished round by round.  Deterministic for a fixed
+    seed.  A malformed field is a ValueError naming it.
     """
 
     initial_radius: float = 1.0
@@ -114,6 +122,21 @@ class SearchBudget:
     grid_points: int = 5
     seed: int = 0
     stop_below: float | None = None
+
+    def __post_init__(self):
+        for name in ("doublings", "starts", "grid_points"):
+            value = getattr(self, name)
+            if value is None and name == "starts":
+                continue
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"SearchBudget.{name} must be a whole number >= 0, got {value!r}")
+        r = self.initial_radius
+        if not (isinstance(r, numbers.Real) and 0.0 < r < math.inf):
+            raise ValueError(f"SearchBudget.initial_radius must be finite and positive, got {r!r}")
+        if math.frexp(r)[1] + self.doublings > sys.float_info.max_exp:
+            raise ValueError(
+                f"SearchBudget.initial_radius {r!r} overflows after doublings={self.doublings}"
+            )
 
 
 @dataclass(frozen=True)
@@ -146,38 +169,45 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _local_minima(p: Polynomial, starts, radius: float):
+def _local_minima(p: Polynomial, starts, radius):
     """Local minima (points (n, d), values (n,)) of p from each of n starts,
-    inside the box [-radius, radius]^d, all searched at once.
+    all searched at once, each inside its box [-r, r]^d, where r is
+    ``radius``: one half-width for every start, or an (n,) array of one per
+    start.
 
     Projected Newton (Bertsekas, SIAM J. Control Optim. 1982).  Coordinates
     that the gradient pushes out of the box and that lie within
-    min(_HOLD_GAP * radius, projected gradient) of a bound are held: they
-    step onto the bound.  On the others the step is Newton's with each
-    Hessian eigenvalue replaced by its magnitude, floored so that no
-    eigencomponent of the step is longer than the box's diameter (no inf or
-    NaN on flat or linear pieces).  The step, projected onto the box, is
-    halved until it gives an Armijo decrease.  A start stops when its
-    projected gradient is at most _GTOL, or when the decrease the step
-    predicts is below the rounding of p, or after _MAX_ITER steps -- except
-    where the reduced Hessian has a negative eigenvalue: there (a saddle)
-    it steps along that eigenvector and stops only when no such step lowers
-    p past rounding.  A start's iterates do not depend on the other starts,
-    and no value returned is above that at the start (clipped into the box).
+    min(_HOLD_GAP * r, projected gradient) of a bound are held: they step
+    onto the bound.  On the others the step is Newton's with each Hessian
+    eigenvalue replaced by its magnitude, floored so that no eigencomponent
+    of the step is longer than the box's diameter (no inf or NaN on flat or
+    linear pieces).  The step, projected onto the box, is halved until it
+    gives an Armijo decrease.  A start stops when its projected gradient is
+    at most _GTOL, or when the decrease the step predicts is below the
+    rounding of p, or after _MAX_ITER steps -- except where the reduced
+    Hessian has a negative eigenvalue: there (a saddle) it steps along that
+    eigenvector and stops only when no such step lowers p past rounding.  A
+    start's iterates do not depend on the other starts or their boxes, so
+    its result is bit for bit that of a call with it alone; no value
+    returned is above that at the start (clipped into its box).
     """
     d = p.dim
-    x = np.clip(np.asarray(starts, dtype=float).reshape(-1, d), -radius, radius)
+    x = np.asarray(starts, dtype=float).reshape(-1, d)
+    rad = np.full(len(x), radius, dtype=float)
+    x = np.clip(x, -rad[:, None], rad[:, None])
     f, g, H, mag = p._jet(x)
     points, values = x.copy(), f.copy()
-    ids = np.arange(len(x))  # the starts still searching; x, f, g, H, mag are theirs
-    reach = 2.0 * radius * math.sqrt(d)  # the box's diameter
+    # The starts still searching; x, f, g, H, mag, rad and reach are theirs.
+    ids = np.arange(len(x))
+    reach = 2.0 * rad * math.sqrt(d)  # the box's diameter
     eye = np.eye(d)
     for _ in range(_MAX_ITER):
         if ids.size == 0:
             break
-        pg = np.abs(x - np.clip(x - g, -radius, radius)).max(axis=1)
-        gap = radius - np.abs(x)
-        held = (gap <= np.minimum(_HOLD_GAP * radius, pg)[:, None]) & (x * g < 0.0)
+        r = rad[:, None]
+        pg = np.abs(x - np.clip(x - g, -r, r)).max(axis=1)
+        gap = r - np.abs(x)
+        held = (gap <= np.minimum(_HOLD_GAP * rad, pg)[:, None]) & (x * g < 0.0)
         free, gf, Hf, snap = ~held, g, H, 0.0
         if held.any():
             gf = g * free
@@ -186,8 +216,8 @@ def _local_minima(p: Polynomial, starts, radius: float):
             snap = np.einsum("mi,mi->m", np.abs(g) * held, gap)
         w, V = np.linalg.eigh(Hf)
         c = np.einsum("mij,mi->mj", V, gf)
-        curv = np.maximum(np.maximum(np.abs(w), np.abs(c) * (1.0 / reach)), _TINY)
-        step = np.einsum("mij,mj->mi", V, c / -curv) * free + np.copysign(reach, x) * held
+        curv = np.maximum(np.maximum(np.abs(w), np.abs(c) * (1.0 / reach)[:, None]), _TINY)
+        step = np.einsum("mij,mj->mi", V, c / -curv) * free + np.copysign(reach[:, None], x) * held
         gain = np.einsum("mj,mj->m", c, c / curv)  # -g.step on the free coordinates
         err = (4.0 * _EPS) * mag
         settled = (pg <= _GTOL) | (0.5 * gain + snap <= err)
@@ -200,7 +230,7 @@ def _local_minima(p: Polynomial, starts, radius: float):
             v = V[turn, :, 0] * free[turn]
             slope, outward = np.einsum("mi,mi->m", gf[turn], v), np.einsum("mi,mi->m", x[turn], v)
             up = (slope > 0.0) | ((slope == 0.0) & (outward > 0.0))
-            step[turn] = np.where(up, -reach, reach)[:, None] * v
+            step[turn] = np.where(up, -reach[turn], reach[turn])[:, None] * v
             gain[turn] = np.abs(np.einsum("mi,mi->m", gf[turn], step[turn]))
             bend = np.where(turn, -0.5 * reach**2 * w[:, 0], 0.0)
             floor = np.where(turn, err, 0.0)
@@ -210,7 +240,7 @@ def _local_minima(p: Polynomial, starts, radius: float):
             if trying.size == 0:
                 break
             need = _ARMIJO * (alpha * gain + alpha * alpha * bend + snap) + floor
-            trial = np.clip(x[trying] + alpha * step[trying], -radius, radius)
+            trial = np.clip(x[trying] + alpha * step[trying], -r[trying], r[trying])
             ft, gt, Ht, mt = p._jet(trial)
             ok = ft <= f[trying] - need[trying]
             i = trying[ok]
@@ -223,6 +253,7 @@ def _local_minima(p: Polynomial, starts, radius: float):
             points[ids[done]], values[ids[done]] = x[done], f[done]
             keep = ~done
             ids, x, f, g, H, mag = ids[keep], x[keep], f[keep], g[keep], H[keep], mag[keep]
+            rad, reach = rad[keep], reach[keep]
     points[ids], values[ids] = x, f
     return points, values
 
@@ -241,6 +272,14 @@ def polish_minimum(p: Polynomial, starts, budget: SearchBudget):
 def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:
     """Best-effort global minimum of p; a witness, not a certificate.
 
+    Searches every round's seeds but the running best point in one
+    ``_local_minima`` call, then walks the rounds in order: the best point
+    is polished into each round's box (from the untouched origin that
+    polish is the origin seed's search), the round's best candidate
+    replaces it when lower, and ``stop_below`` ends the walk.  Each start's
+    search depends on its start and box alone, so the result is bit for
+    bit that of searching the rounds one after another.
+
     ``attained`` is False when the search is still improving at the final
     box or the best point sits at the box fringe -- the signature of an
     infimum approached only at infinity.
@@ -249,27 +288,44 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
     d = p.dim
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
+    radii = [budget.initial_radius * 2.0**k for k in range(budget.doublings + 1)]
+    # Every round's seeds but the running best point, in round order.
+    seeds, sizes = [], []
+    for radius in radii:
+        round_seeds = [np.zeros(d), *_grid_candidates(p, radius, budget.grid_points)]
+        if n_starts > 0:
+            round_seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
+        seeds.extend(round_seeds)
+        sizes.append(len(round_seeds))
+    pts, vals = _local_minima(p, np.array(seeds), np.repeat(radii, sizes))
     best_pt = np.zeros(d)
     best_val = float(p.eval(best_pt))
     history = [best_val]
-    radius = budget.initial_radius
-    for _ in range(budget.doublings + 1):
-        seeds = [np.zeros(d), best_pt]
-        seeds.extend(_grid_candidates(p, radius, budget.grid_points))
-        if n_starts > 0:
-            seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
-        pts, vals = _local_minima(p, np.array(seeds), radius)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_pt = float(vals[i]), pts[i]
+    at_origin = True  # best_pt is still the untouched origin
+    lo = 0
+    for radius, size in zip(radii, sizes):
+        round_pts, round_vals = pts[lo:lo + size], vals[lo:lo + size]
+        lo += size
+        # The running best point polished in this round's box; from the
+        # untouched origin that is the origin seed's search.
+        if at_origin:
+            best_pts, best_vals = round_pts[:1], round_vals[:1]
+        else:
+            best_pts, best_vals = _local_minima(p, best_pt[None, :], radius)
+        # In seed order (the origin, the best point, the rest), so that ties
+        # go to the earlier seed.
+        cand_vals = np.concatenate([round_vals[:1], best_vals, round_vals[1:]])
+        i = int(np.argmin(cand_vals))
+        if cand_vals[i] < best_val:
+            best_val = float(cand_vals[i])
+            best_pt = np.concatenate([round_pts[:1], best_pts, round_pts[1:]])[i]
+            at_origin = False
         history.append(best_val)
         if budget.stop_below is not None and best_val < budget.stop_below:
             return MinimizationResult(best_pt, best_val, True)
-        radius *= 2.0
-    final_radius = radius / 2.0
     prev = history[-2]
     still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
-    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * final_radius)
+    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * radii[-1])
     return MinimizationResult(best_pt, best_val, attained=(not still_improving) and interior)
 
 

@@ -5,7 +5,9 @@ replaced.  They are slow but transparent, and the property tests in
 ``test_polykernels.py`` compare the kernels against them.  The multi-start
 minimum scan that ran one scipy L-BFGS-B search per start is kept as the
 reference for the batched local searches of ``polynormal.pnd``
-(``test_local_search.py``).
+(``test_local_search.py``), and so is the scan that searched its rounds one
+after another, one batch of local searches per round, as the reference for
+``pnd.minimize_polynomial``, which searches every round's seeds at once.
 """
 
 import functools
@@ -14,7 +16,7 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from polynormal.pnd import SearchBudget, _grid_candidates
+from polynormal.pnd import MinimizationResult, SearchBudget, _grid_candidates, _local_minima
 from polynormal.polyalg import HermiteCoeffs, Polynomial
 
 
@@ -208,3 +210,34 @@ def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:
             break
         radius *= 2.0
     return best_val
+
+
+def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> MinimizationResult:
+    """The multi-start scan round by round: each round draws its seeds (the
+    origin, the best point so far, the best grid points, the random points)
+    and searches them in one batch in its own box."""
+    d = p.dim
+    rng = np.random.default_rng(budget.seed)
+    n_starts = budget.starts if budget.starts is not None else 2 * d + 1
+    best_pt = np.zeros(d)
+    best_val = float(p.eval(best_pt))
+    history = [best_val]
+    radius = budget.initial_radius
+    for _ in range(budget.doublings + 1):
+        seeds = [np.zeros(d), best_pt]
+        seeds.extend(_grid_candidates(p, radius, budget.grid_points))
+        if n_starts > 0:
+            seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
+        pts, vals = _local_minima(p, np.array(seeds), radius)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_pt = float(vals[i]), pts[i]
+        history.append(best_val)
+        if budget.stop_below is not None and best_val < budget.stop_below:
+            return MinimizationResult(best_pt, best_val, True)
+        radius *= 2.0
+    final_radius = radius / 2.0
+    prev = history[-2]
+    still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
+    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * final_radius)
+    return MinimizationResult(best_pt, best_val, attained=(not still_improving) and interior)

@@ -4,22 +4,29 @@
 starts at once.  For d = 1..3 and degree <= 8: every point returned lies
 in the box, no value is above the start's, every result is stationary in
 the box up to the square root of rounding (where Newton's predicted
-decrease falls below rounding), and a start's result does not depend on
-the other starts of its batch.  The scan built on it must go no higher
-than the scan with one scipy L-BFGS-B search per start (``polyref``) on the
-regression inputs of the theta search.
+decrease falls below rounding), and a start's result is bit for bit its
+result alone, whatever the other starts of its batch and their boxes.
+``pnd.minimize_polynomial`` searches every round's seeds in one such call,
+so it must equal the scan that searched its rounds one after another
+(``polyref``) exactly, and it must go no higher than the scan with one scipy
+L-BFGS-B search per start (``polyref``) on the regression inputs of the
+theta search.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polynormal import pnd
+from polynormal.decompose import PROBE_BUDGET
 from polynormal.pnd import SearchBudget, _local_minima, minimize_polynomial, polish_minimum
 from polynormal.polyalg import Polynomial, theta_rescale
 
 from conftest import FAST_BUDGET, eligible_quartic_poly, example4_poly, polynomials
-from polyref import minimize_polynomial_ref
+from polyref import minimize_polynomial_ref, minimize_polynomial_rounds_ref
 from test_decompose import _reference_cases
 
 FAST = settings(max_examples=40, deadline=None)
@@ -51,16 +58,33 @@ def test_local_minima_stay_in_the_box_descend_and_are_stationary(case, radius):
     assert np.max(projected) <= STATIONARY_TOL * _gradient_scale(p, radius)
 
 
+def _assert_each_start_alone(p, starts, radii, pts, vals):
+    """Each start's batched result is bit for bit its single-start result."""
+    for start, radius, pt, val in zip(starts, radii, pts, vals):
+        one_pt, one_val = _local_minima(p, start[None, :], float(radius))
+        assert one_val.tobytes() == val.tobytes()
+        assert one_pt.tobytes() == pt.tobytes()
+
+
 @FAST
 @given(polynomials(), st.sampled_from([0.5, 1.0, 4.0]))
 def test_each_start_gives_its_single_start_result_in_a_batch(case, radius):
     p, rng = case
     starts = _starts(rng, p.dim, radius)
     pts, vals = _local_minima(p, starts, radius)
-    for start, pt, val in zip(starts, pts, vals):
-        one_pt, one_val = _local_minima(p, start[None, :], radius)
-        assert abs(one_val[0] - val) <= 1e-12 * max(1.0, abs(val))
-        assert np.max(np.abs(one_pt[0] - pt)) <= 1e-12 * max(1.0, radius)
+    _assert_each_start_alone(p, starts, [radius] * len(starts), pts, vals)
+
+
+@FAST
+@given(polynomials())
+def test_each_start_in_its_own_box_gives_its_single_start_result(case):
+    p, rng = case
+    boxes = [0.5, 1.0, 4.0, 64.0]
+    starts = np.vstack([_starts(rng, p.dim, r) for r in boxes])
+    radii = np.repeat(boxes, len(starts) // len(boxes))
+    pts, vals = _local_minima(p, starts, radii)
+    assert np.all(np.abs(pts) <= radii[:, None])
+    _assert_each_start_alone(p, starts, radii, pts, vals)
 
 
 def test_saddle_at_the_start_is_left_downhill():
@@ -117,3 +141,57 @@ def test_scan_is_no_higher_than_the_lbfgsb_scan():
             ref = minimize_polynomial_ref(p, budget)
             value = minimize_polynomial(p, budget).value
             assert value <= ref + 1e-10 * max(1.0, abs(ref)), name
+
+
+SCAN_BUDGETS = [SearchBudget(), PROBE_BUDGET, FAST_BUDGET, SearchBudget(doublings=0)]
+
+
+def _assert_same_scan(p, budget, name=""):
+    ref = minimize_polynomial_rounds_ref(p, budget)
+    res = minimize_polynomial(p, budget)
+    assert res.point.tobytes() == ref.point.tobytes(), name
+    assert np.float64(res.value).tobytes() == np.float64(ref.value).tobytes(), name
+    assert res.attained == ref.attained, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), st.sampled_from(SCAN_BUDGETS), st.integers(0, 3))
+def test_scan_equals_the_round_by_round_scan(case, budget, seed):
+    _assert_same_scan(case[0], replace(budget, seed=seed))
+
+
+@pytest.mark.parametrize("budget", SCAN_BUDGETS, ids=["default", "probe", "fast", "one round"])
+def test_scan_equals_the_round_by_round_scan_on_the_regression_inputs(budget):
+    # Below their floors these polynomials dip negative near the box
+    # fringe, where polishing the running best point in a wider box matters.
+    for name, p in _regression_polynomials():
+        _assert_same_scan(p, budget, name)
+
+
+@pytest.mark.parametrize(
+    "p, polishes",
+    [(example4_poly(), SearchBudget().doublings), (eligible_quartic_poly(), 0)],
+    ids=["best moves", "best at origin"],
+)
+def test_a_scan_searches_every_rounds_seeds_in_its_first_call(monkeypatch, p, polishes):
+    calls = []
+    original = pnd._local_minima
+
+    def recording(q, starts, radius):
+        calls.append((len(starts), np.broadcast_to(radius, (len(starts),))))
+        return original(q, starts, radius)
+
+    monkeypatch.setattr(pnd, "_local_minima", recording)
+    budget = SearchBudget()
+    minimize_polynomial(p, budget)
+    # Per round: the origin, 3 grid points and 2d + 1 random points.
+    per_round = 1 + 3 + 2 * p.dim + 1
+    radii = budget.initial_radius * 2.0 ** np.arange(budget.doublings + 1)
+    rows, first_radii = calls[0]
+    assert rows == (budget.doublings + 1) * per_round
+    assert np.array_equal(first_radii, np.repeat(radii, per_round))
+    # Then at most one polish of the running best point per round: none
+    # while it is the untouched origin, one in each round after it moves.
+    assert len(calls) <= budget.doublings + 2
+    assert len(calls) == 1 + polishes
+    assert all(rows == 1 for rows, _ in calls[1:])

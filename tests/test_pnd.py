@@ -230,3 +230,22 @@ def test_budget_is_deterministic(example4_pnd):
     r2 = find_min_poly(example4_pnd, SearchBudget(seed=3))
     assert r1.value == r2.value
     assert np.array_equal(r1.point, r2.point)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("doublings", -1),
+        ("doublings", 2.5),
+        ("initial_radius", 0.0),
+        ("initial_radius", -1.0),
+        ("initial_radius", math.nan),
+        ("initial_radius", math.inf),
+        ("initial_radius", 1e308),  # the last box, 1e308 * 2**6, overflows
+        ("starts", -2),
+        ("grid_points", -3),
+    ],
+)
+def test_malformed_budget_is_rejected_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"SearchBudget.{field}"):
+        SearchBudget(**{field: value})
