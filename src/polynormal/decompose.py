@@ -50,9 +50,9 @@ ZERO_TOL = 1e-9
 RESCALE_TOL = -1e-12
 DEFAULT_THETA_TOL = 1e-6
 
-# Budget for the global scans of the theta search; each only needs a
-# reliable sign, not a tight minimum.
-PROBE_BUDGET = SearchBudget(doublings=4, grid_points=7, stop_below=10 * RESCALE_TOL)
+# Budget for the global scans of the theta search; each only needs the sign
+# and the point of its minimum, not a tight value.
+PROBE_BUDGET = SearchBudget(doublings=4, grid_points=7)
 
 
 @dataclass(frozen=True)

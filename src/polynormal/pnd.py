@@ -9,11 +9,9 @@ Gaussian integral, so norm_const = 1 / beta_0.  Quadrature is kept as an
 independent cross-check (``integral_quadrature``).
 
 Nonnegativity is checked by a multi-start minimum scan over growing boxes
-(``minimize_polynomial``); its local searches are batched projected Newton
-iterations on the exact values, gradients and Hessians of the polynomial.
-One batch holds the seeds of every round, each start in its own round's
-box; only the running best point, which depends on earlier rounds, is
-polished round by round.
+(``minimize_polynomial``): one batch of projected Newton searches on the
+exact values, gradients and Hessians of the polynomial, which holds the
+seeds of every round, each start in its own round's box.
 """
 
 from __future__ import annotations
@@ -106,37 +104,27 @@ class PND:
 class SearchBudget:
     """Configuration for multi-start minimization over expanding boxes.
 
-    Round k (k = 0..doublings) searches the box of half-width
-    initial_radius * 2**k from the origin, the previous best point, the
-    best coarse-grid points (``grid_points`` per axis) and ``starts``
-    uniform random points (default 2*dim + 1) with box-constrained Newton
-    searches.  All rounds' seeds but the previous best point are drawn up
-    front and searched in one batch; the best point, which depends on the
-    earlier rounds, is polished round by round.  Deterministic for a fixed
-    seed.  A malformed field is a ValueError naming it.
+    Round k (k = 0..doublings) searches the box [-2**k, 2**k]^d from the
+    origin, the best coarse-grid points (``grid_points`` per axis) and
+    ``starts`` uniform random points (default 2*dim + 1) with
+    box-constrained Newton searches; the seeds of all rounds are searched
+    in one batch.  Deterministic for a fixed seed.  A malformed field is a
+    ValueError naming it; so is, at scan time, a ``doublings`` whose last
+    box is too wide for the polynomial's degree (see ``_last_radius``).
     """
 
-    initial_radius: float = 1.0
     doublings: int = 6
     starts: int | None = None
     grid_points: int = 5
     seed: int = 0
-    stop_below: float | None = None
 
     def __post_init__(self):
-        for name in ("doublings", "starts", "grid_points"):
+        for name in ("doublings", "starts", "grid_points", "seed"):
             value = getattr(self, name)
             if value is None and name == "starts":
                 continue
-            if not isinstance(value, numbers.Integral) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ValueError(f"SearchBudget.{name} must be a whole number >= 0, got {value!r}")
-        r = self.initial_radius
-        if not (isinstance(r, numbers.Real) and 0.0 < r < math.inf):
-            raise ValueError(f"SearchBudget.initial_radius must be finite and positive, got {r!r}")
-        if math.frexp(r)[1] + self.doublings > sys.float_info.max_exp:
-            raise ValueError(
-                f"SearchBudget.initial_radius {r!r} overflows after doublings={self.doublings}"
-            )
 
 
 @dataclass(frozen=True)
@@ -258,6 +246,20 @@ def _local_minima(p: Polynomial, starts, radius):
     return points, values
 
 
+def _last_radius(p: Polynomial, budget: SearchBudget) -> float:
+    """Half-width 2**doublings of the budget's last box.
+
+    A ValueError when its degree-th power overflows: the monomials of p
+    at the box's corners would then evaluate to inf.
+    """
+    if budget.doublings * max(p.degree, 1) >= sys.float_info.max_exp:
+        raise ValueError(
+            f"SearchBudget.doublings={budget.doublings} is too large for a polynomial of "
+            f"degree {p.degree}: (2**{budget.doublings})**{max(p.degree, 1)} overflows"
+        )
+    return 2.0**budget.doublings
+
+
 def polish_minimum(p: Polynomial, starts, budget: SearchBudget):
     """Local minima (points (n, d), values (n,)) of p from an (n, d) array of
     starts, inside the box of the budget's last scan round.
@@ -266,30 +268,27 @@ def polish_minimum(p: Polynomial, starts, budget: SearchBudget):
     off to points so large that rounding in the monomial evaluation makes
     a nonnegative polynomial read negative there.
     """
-    return _local_minima(p, starts, budget.initial_radius * 2.0**budget.doublings)
+    return _local_minima(p, starts, _last_radius(p, budget))
 
 
 def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:
     """Best-effort global minimum of p; a witness, not a certificate.
 
-    Searches every round's seeds but the running best point in one
-    ``_local_minima`` call, then walks the rounds in order: the best point
-    is polished into each round's box (from the untouched origin that
-    polish is the origin seed's search), the round's best candidate
-    replaces it when lower, and ``stop_below`` ends the walk.  Each start's
-    search depends on its start and box alone, so the result is bit for
-    bit that of searching the rounds one after another.
+    Draws every round's seeds (the origin, the best coarse-grid points and
+    the random points, round by round from one generator) and searches
+    them in one ``_local_minima`` call, each in its own round's box.  The
+    result is the lowest point found, the first in seed order on ties.
 
-    ``attained`` is False when the search is still improving at the final
-    box or the best point sits at the box fringe -- the signature of an
-    infimum approached only at infinity.
+    ``attained`` is False when the last round still improved on the
+    earlier ones or the best point sits at the box fringe -- the signature
+    of an infimum approached only at infinity.
     """
     budget = budget or SearchBudget()
     d = p.dim
+    last = _last_radius(p, budget)
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
-    radii = [budget.initial_radius * 2.0**k for k in range(budget.doublings + 1)]
-    # Every round's seeds but the running best point, in round order.
+    radii = [2.0**k for k in range(budget.doublings + 1)]
     seeds, sizes = [], []
     for radius in radii:
         round_seeds = [np.zeros(d), *_grid_candidates(p, radius, budget.grid_points)]
@@ -298,34 +297,12 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
         seeds.extend(round_seeds)
         sizes.append(len(round_seeds))
     pts, vals = _local_minima(p, np.array(seeds), np.repeat(radii, sizes))
-    best_pt = np.zeros(d)
-    best_val = float(p.eval(best_pt))
-    history = [best_val]
-    at_origin = True  # best_pt is still the untouched origin
-    lo = 0
-    for radius, size in zip(radii, sizes):
-        round_pts, round_vals = pts[lo:lo + size], vals[lo:lo + size]
-        lo += size
-        # The running best point polished in this round's box; from the
-        # untouched origin that is the origin seed's search.
-        if at_origin:
-            best_pts, best_vals = round_pts[:1], round_vals[:1]
-        else:
-            best_pts, best_vals = _local_minima(p, best_pt[None, :], radius)
-        # In seed order (the origin, the best point, the rest), so that ties
-        # go to the earlier seed.
-        cand_vals = np.concatenate([round_vals[:1], best_vals, round_vals[1:]])
-        i = int(np.argmin(cand_vals))
-        if cand_vals[i] < best_val:
-            best_val = float(cand_vals[i])
-            best_pt = np.concatenate([round_pts[:1], best_pts, round_pts[1:]])[i]
-            at_origin = False
-        history.append(best_val)
-        if budget.stop_below is not None and best_val < budget.stop_below:
-            return MinimizationResult(best_pt, best_val, True)
-    prev = history[-2]
+    # The first seed is the origin, and its search ends there or below p(0).
+    i = int(np.argmin(vals))
+    best_pt, best_val = pts[i], float(vals[i])
+    prev = float(vals[:-sizes[-1]].min(initial=p.eval(np.zeros(d))))  # the best before the last round
     still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
-    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * radii[-1])
+    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * last)
     return MinimizationResult(best_pt, best_val, attained=(not still_improving) and interior)
 
 

@@ -192,13 +192,14 @@ def lbfgsb_ref(p: Polynomial, start, radius: float):
 
 def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:
     """Lowest value of the multi-start scan with one L-BFGS-B search per start:
-    the same seeds, round by round, as ``pnd.minimize_polynomial``."""
+    the seeds of ``pnd.minimize_polynomial``, round by round, plus the best
+    point so far in each round."""
     d = p.dim
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
     best_pt, best_val = np.zeros(d), p.eval(np.zeros(d))
-    radius = budget.initial_radius
-    for _ in range(budget.doublings + 1):
+    for k in range(budget.doublings + 1):
+        radius = 2.0**k
         seeds = [np.zeros(d), best_pt] + list(_grid_candidates(p, radius, budget.grid_points))
         if n_starts > 0:
             seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
@@ -206,25 +207,23 @@ def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:
             pt, val = lbfgsb_ref(p, s, radius)
             if val < best_val:
                 best_val, best_pt = val, pt
-        if budget.stop_below is not None and best_val < budget.stop_below:
-            break
-        radius *= 2.0
     return best_val
 
 
 def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> MinimizationResult:
     """The multi-start scan round by round: each round draws its seeds (the
-    origin, the best point so far, the best grid points, the random points)
-    and searches them in one batch in its own box."""
+    origin, the best grid points, the random points) and searches them in
+    one batch in its own box; a round's best point replaces the best so far
+    when it is lower."""
     d = p.dim
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
     best_pt = np.zeros(d)
     best_val = float(p.eval(best_pt))
     history = [best_val]
-    radius = budget.initial_radius
-    for _ in range(budget.doublings + 1):
-        seeds = [np.zeros(d), best_pt]
+    for k in range(budget.doublings + 1):
+        radius = 2.0**k
+        seeds = [np.zeros(d)]
         seeds.extend(_grid_candidates(p, radius, budget.grid_points))
         if n_starts > 0:
             seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
@@ -233,11 +232,7 @@ def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> Minim
         if vals[i] < best_val:
             best_val, best_pt = float(vals[i]), pts[i]
         history.append(best_val)
-        if budget.stop_below is not None and best_val < budget.stop_below:
-            return MinimizationResult(best_pt, best_val, True)
-        radius *= 2.0
-    final_radius = radius / 2.0
     prev = history[-2]
     still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
-    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * final_radius)
+    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * radius)
     return MinimizationResult(best_pt, best_val, attained=(not still_improving) and interior)

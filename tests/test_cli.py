@@ -54,6 +54,11 @@ def test_validate_negative_polynomial_exits_2(workdir, capsys):
     assert main(["validate", "--input", bad]) == 2
 
 
+def test_validate_negative_seed_exits_2(workdir, example4_json, capsys):
+    assert main(["--seed", "-1", "validate", "--input", example4_json]) == 2
+    assert "SearchBudget.seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "term",
     [{"alpha": [2.7], "coef": 1.0}, {"alpha": [2], "coef": float("nan")}, {"alpha": [2], "coef": float("inf")}],

@@ -24,6 +24,7 @@ from polynormal.pnd import (
     minimize_polynomial,
     pnd_from_dict,
     pnd_to_dict,
+    polish_minimum,
     whitened_poly,
 )
 from polynormal.polyalg import Polynomial
@@ -237,15 +238,28 @@ def test_budget_is_deterministic(example4_pnd):
     [
         ("doublings", -1),
         ("doublings", 2.5),
-        ("initial_radius", 0.0),
-        ("initial_radius", -1.0),
-        ("initial_radius", math.nan),
-        ("initial_radius", math.inf),
-        ("initial_radius", 1e308),  # the last box, 1e308 * 2**6, overflows
+        ("doublings", True),
         ("starts", -2),
         ("grid_points", -3),
+        ("seed", -1),
+        ("seed", 1.5),
     ],
 )
 def test_malformed_budget_is_rejected_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"SearchBudget.{field}"):
         SearchBudget(**{field: value})
+
+
+def test_a_box_whose_degree_th_power_overflows_is_rejected():
+    # (2**127)**8 is finite and (2**128)**8 is not.  Warnings are errors in
+    # the suite, so the accepted scan and polish must raise none.
+    p = Polynomial.from_terms(2, {(8, 0): 1.0, (0, 8): 1.0, (1, 1): -1.0})
+    corner = np.full((1, 2), 2.0**127)
+    result = minimize_polynomial(p, SearchBudget(doublings=127))
+    assert result.attained and result.value == pytest.approx(-0.375, rel=1e-12)
+    assert np.all(np.isfinite(polish_minimum(p, corner, SearchBudget(doublings=127))[1]))
+    for doublings in (128, 130):
+        with pytest.raises(ValueError, match="SearchBudget.doublings"):
+            minimize_polynomial(p, SearchBudget(doublings=doublings))
+        with pytest.raises(ValueError, match="SearchBudget.doublings"):
+            polish_minimum(p, corner, SearchBudget(doublings=doublings))
