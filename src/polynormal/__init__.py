@@ -37,7 +37,6 @@ from .pnd import (
     make_pnd,
     make_quadform,
     minimize_polynomial,
-    whitened_poly,
 )
 from .charfn import (
     CharFn,

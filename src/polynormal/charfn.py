@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroIntegral
-from .pnd import PND, SearchBudget, make_pnd, make_quadform, whitened_poly
+from .pnd import PND, SearchBudget, make_pnd, make_quadform
 from .polyalg import (
     HermiteCoeffs,
     Polynomial,
@@ -36,7 +36,6 @@ from .polyalg import (
     from_hermite,
     polynomial_from_dict,
     polynomial_to_dict,
-    to_hermite,
 )
 
 # phi(0) must be 1; inputs off by more than this are rescaled with a warning.
@@ -81,10 +80,9 @@ def gaussian_cf(mean, cov) -> CharFn:
 
 
 def forward_cf(pnd: PND) -> CharFn:
-    """Exact characteristic function of a polynomial-normal density."""
+    """Exact characteristic function of a polynomial-normal density, from ``PND.hermite``."""
     L = pnd.form.whitener
-    h = to_hermite(whitened_poly(pnd))
-    g = Polynomial.from_terms(pnd.dim, h.coeffs)
+    g = Polynomial.from_terms(pnd.dim, pnd.hermite.coeffs)
     beta = affine_substitute(g, L.T, np.zeros(pnd.dim))
     sigma = L @ L.T  # = A^{-1}
     return make_charfn(beta, sigma, pnd.shift)

@@ -86,6 +86,7 @@ class RunConfig:
             raise ValueError(f"tolerance must be finite and positive, got {cfg.theta_tol}")
         if cfg.quadrature_order is not None and cfg.quadrature_order <= 0:
             raise ValueError("quadrature order must be positive")
+        cfg.budget()  # rejects a malformed seed for every subcommand
         return cfg
 
     def budget(self) -> SearchBudget:

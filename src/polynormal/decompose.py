@@ -35,9 +35,8 @@ from .pnd import (
     minimize_polynomial,
     pnd_to_dict,
     polish_minimum,
-    whitened_poly,
 )
-from .polyalg import HermiteCoeffs, affine_substitute, theta_rescale, to_hermite
+from .polyalg import HermiteCoeffs, affine_substitute, theta_rescale
 from .positivity import PositivityReport, epsilon_bound, report_to_dict
 
 VERDICT_HAS_REAL_ZERO = "HasRealZero"
@@ -98,8 +97,7 @@ def precheck(pnd: PND, budget: SearchBudget | None = None) -> Diagnosis:
     infimum grid of the report refines to ``positivity.GRID_REFINE_TOL``.
     """
     scan = find_min_poly(pnd, budget)
-    q = whitened_poly(pnd)
-    report = epsilon_bound(q)
+    report = epsilon_bound(pnd.whitened)
     if scan.value <= ZERO_TOL and scan.attained:
         return Diagnosis(
             VERDICT_HAS_REAL_ZERO,
@@ -196,13 +194,12 @@ def decompose(
     diag = precheck(pnd, budget)
     if diag.verdict != VERDICT_ELIGIBLE:
         raise NotEligible(diag)
-    h = to_hermite(whitened_poly(pnd))
     if theta is None:
-        floor = theta_floor(h, tol, replace(PROBE_BUDGET, seed=budget.seed))
+        floor = theta_floor(pnd.hermite, tol, replace(PROBE_BUDGET, seed=budget.seed))
         theta = min(floor + tol, 1.0 - 1e-9)
     elif not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    p_theta = theta_rescale(h, theta)
+    p_theta = theta_rescale(pnd.hermite, theta)
     scan = minimize_polynomial(p_theta, budget)
     if scan.value < RESCALE_TOL:
         raise ThetaInadmissible(scan.value)

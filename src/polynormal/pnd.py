@@ -5,8 +5,9 @@ A density here is norm_const * sqrt(det A) / (2 pi)^{d/2} * p(x)
 and A positive definite.  The normalizing constant comes from the constant
 Hermite coefficient of the whitened polynomial: under x = L u + b with
 L'AL = I, only the constant term of the Hermite expansion survives the
-Gaussian integral, so norm_const = 1 / beta_0.  Quadrature is kept as an
-independent cross-check (``integral_quadrature``).
+Gaussian integral, so norm_const = 1 / beta_0.  A PND keeps that whitening,
+normalized, with its Hermite coefficients; ``integral_quadrature``
+recomputes p(L u + b) as an independent cross-check of the normalization.
 
 Nonnegativity is checked by a multi-start minimum scan over growing boxes
 (``minimize_polynomial``): one batch of projected Newton searches on the
@@ -33,6 +34,7 @@ from .errors import (
     ZeroIntegral,
 )
 from .polyalg import (
+    HermiteCoeffs,
     Polynomial,
     affine_substitute,
     polynomial_from_dict,
@@ -83,17 +85,21 @@ def make_quadform(A) -> QuadForm:
 
 @dataclass(frozen=True)
 class PND:
-    """Polynomial-normal density model.
+    """Polynomial-normal density model, built only by ``_build_pnd``.
 
     ``scan`` is the (budget, result) of the minimum scan of ``poly`` that
     validated it, or None; ``find_min_poly`` reuses it for the same budget.
+    ``whitened`` is norm_const * p(L u + b) and ``hermite`` its Hermite
+    coefficients (the beta_a of the characteristic function).
     """
 
     poly: Polynomial
     form: QuadForm
     shift: np.ndarray
     norm_const: float
-    scan: tuple | None = field(default=None, compare=False, repr=False)
+    scan: tuple | None = field(compare=False, repr=False)
+    whitened: Polynomial = field(compare=False, repr=False)
+    hermite: HermiteCoeffs = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -145,9 +151,10 @@ def _grid_candidates(p: Polynomial, radius: float, per_axis: int, keep: int = 3)
 
 
 # Local searches: projected-gradient tolerance, iteration cap, Armijo
-# fraction, step halvings before a line search gives up, and the widest gap
-# to a bound (a fraction of the box's half-width) at which the gradient
-# holds a coordinate there.
+# fraction, step halvings before a line search gives up (at least; more
+# until a step as long as the box's diameter is at most 2**-32), and the
+# widest gap to a bound (a fraction of the box's half-width) at which the
+# gradient holds a coordinate there.
 _GTOL = 1e-12
 _MAX_ITER = 500
 _ARMIJO = 1e-4
@@ -185,9 +192,10 @@ def _local_minima(p: Polynomial, starts, radius):
     x = np.clip(x, -rad[:, None], rad[:, None])
     f, g, H, mag = p._jet(x)
     points, values = x.copy(), f.copy()
-    # The starts still searching; x, f, g, H, mag, rad and reach are theirs.
+    # The starts still searching; x, f, g, H, mag, rad, reach and halvings are theirs.
     ids = np.arange(len(x))
     reach = 2.0 * rad * math.sqrt(d)  # the box's diameter
+    halvings = np.maximum(np.ceil(np.log2(reach)) + 32, _HALVINGS).astype(int)
     eye = np.eye(d)
     for _ in range(_MAX_ITER):
         if ids.size == 0:
@@ -223,8 +231,11 @@ def _local_minima(p: Polynomial, starts, radius):
             bend = np.where(turn, -0.5 * reach**2 * w[:, 0], 0.0)
             floor = np.where(turn, err, 0.0)
         trying = np.flatnonzero(~settled | turn)
+        done = np.ones(ids.size, dtype=bool)  # all but the starts that step
         alpha = 1.0
-        for _ in range(_HALVINGS):
+        for k in range(halvings.max()):
+            if k >= _HALVINGS:  # only starts in the widest boxes halve further
+                trying = trying[halvings[trying] > k]
             if trying.size == 0:
                 break
             need = _ARMIJO * (alpha * gain + alpha * alpha * bend + snap) + floor
@@ -233,15 +244,14 @@ def _local_minima(p: Polynomial, starts, radius):
             ok = ft <= f[trying] - need[trying]
             i = trying[ok]
             x[i], f[i], g[i], H[i], mag[i] = trial[ok], ft[ok], gt[ok], Ht[ok], mt[ok]
+            done[i] = False
             trying = trying[~ok]
             alpha *= 0.5
-        done = settled & ~turn
-        done[trying] = True
         if done.any():
             points[ids[done]], values[ids[done]] = x[done], f[done]
             keep = ~done
             ids, x, f, g, H, mag = ids[keep], x[keep], f[keep], g[keep], H[keep], mag[keep]
-            rad, reach = rad[keep], reach[keep]
+            rad, reach, halvings = rad[keep], reach[keep], halvings[keep]
     points[ids], values[ids] = x, f
     return points, values
 
@@ -330,7 +340,7 @@ def _build_pnd(p: Polynomial, A, b, budget: SearchBudget | None) -> PND:
     """``make_pnd``'s checks and normalization; with budget None, no scan.
 
     Skipping the scan is only for callers that have already gated the
-    nonnegativity of p themselves.
+    nonnegativity of p themselves.  The whitening made for beta_0 is kept (``PND.whitened``).
     """
     form = make_quadform(A)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -352,12 +362,9 @@ def _build_pnd(p: Polynomial, A, b, budget: SearchBudget | None) -> PND:
     if beta0 <= 0.0:
         raise ZeroIntegral(f"constant Hermite coefficient is {beta0:.6g}")
     b.setflags(write=False)
-    return PND(p, form, b, 1.0 / beta0, scan)
-
-
-def whitened_poly(pnd: PND) -> Polynomial:
-    """Normalized polynomial in whitened coordinates: norm_const * p(L u + b)."""
-    return pnd.norm_const * affine_substitute(pnd.poly, pnd.form.whitener, pnd.shift)
+    norm_const = 1.0 / beta0
+    whitened = norm_const * whitened
+    return PND(p, form, b, norm_const, scan, whitened, to_hermite(whitened))
 
 
 def _gauss_scale(pnd: PND) -> float:

@@ -36,7 +36,7 @@ from scipy.optimize import least_squares
 from .charfn import CharFn, inverse_cf_parts, make_charfn
 from .errors import DimensionMismatch, NoWitnessFound, QuadratureOrderTooLow
 from .decompose import GaussianFactor
-from .pnd import PND, density_many, gauss_hermite_nodes, make_quadform
+from .pnd import PND, _build_pnd, _gauss_scale, density_many, gauss_hermite_nodes, make_quadform
 from .polyalg import Polynomial
 
 WITNESS_TOL = -1e-10
@@ -80,11 +80,8 @@ def _as_pnd(g) -> PND:
     if isinstance(g, PND):
         return g
     if isinstance(g, GaussianFactor):
-        cov = np.asarray(g.cov, dtype=float)
-        form = make_quadform(np.linalg.inv(cov))
-        mean = np.asarray(g.mean, dtype=float).reshape(-1)
-        mean.setflags(write=False)
-        return PND(Polynomial.constant(form.dim, 1.0), form, mean, 1.0)
+        A = np.linalg.inv(g.cov)
+        return _build_pnd(Polynomial.constant(len(A), 1.0), A, g.mean, None)
     raise TypeError(f"expected PND or GaussianFactor, got {type(g)!r}")
 
 
@@ -117,8 +114,7 @@ def convolution_check(f: PND, g1, g2, grid, quadrature_order: int | None = None)
     Sform = make_quadform(S)
     W = Sform.whitener  # W' S W = I
     u, wts = gauss_hermite_nodes(d, order)
-    c1 = g1.norm_const * math.sqrt(np.linalg.det(A1)) / (2.0 * math.pi) ** (d / 2.0)
-    c2 = g2.norm_const * math.sqrt(np.linalg.det(A2)) / (2.0 * math.pi) ** (d / 2.0)
+    c1, c2 = _gauss_scale(g1), _gauss_scale(g2)
     det_s = np.linalg.det(S)
     values = np.empty(grid.shape[0])
     for i, x in enumerate(grid):

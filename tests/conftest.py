@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polynormal import Example4Params, SearchBudget, make_pnd
 from polynormal import pnd as pnd_module
-from polynormal.polyalg import Polynomial
+from polynormal.polyalg import Polynomial, affine_substitute
 from polynormal.verify import validate_example4_params
 
 # Small budget for tests that construct many densities whose positivity is
@@ -27,20 +27,24 @@ def example4_pnd():
     return make_pnd(example4_poly(), np.eye(2), np.zeros(2))
 
 
+def _replace_everywhere(monkeypatch, original, replacement):
+    """Set ``replacement`` wherever in the package ``original`` is looked up from."""
+    for name, module in list(sys.modules.items()):
+        if name == "polynormal" or name.startswith("polynormal."):
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, replacement)
+
+
 def _record_scans(monkeypatch, record):
     """Call ``record(p, budget)`` (default budget filled in) on every global
-    minimum scan (``minimize_polynomial``), wherever in the package the scan
-    is looked up from."""
+    minimum scan (``minimize_polynomial``)."""
     original = pnd_module.minimize_polynomial
 
     def recording(p, budget=None):
         record(p, budget or SearchBudget())
         return original(p, budget)
 
-    for name, module in list(sys.modules.items()):
-        if name == "polynormal" or name.startswith("polynormal."):
-            if getattr(module, "minimize_polynomial", None) is original:
-                monkeypatch.setattr(module, "minimize_polynomial", recording)
+    _replace_everywhere(monkeypatch, original, recording)
 
 
 @pytest.fixture
@@ -57,6 +61,19 @@ def scan_budgets(monkeypatch):
     budgets = []
     _record_scans(monkeypatch, lambda p, budget: budgets.append(budget))
     return budgets
+
+
+@pytest.fixture
+def substitution_calls(monkeypatch):
+    """Polynomials passed to ``affine_substitute``."""
+    calls = []
+
+    def recording(p, M, c):
+        calls.append(p)
+        return affine_substitute(p, M, c)
+
+    _replace_everywhere(monkeypatch, affine_substitute, recording)
+    return calls
 
 
 def eligible_quartic_poly() -> Polynomial:

@@ -19,7 +19,7 @@ from polynormal.decompose import (
     theta_floor,
 )
 from polynormal.errors import NoWitnessFound
-from polynormal.pnd import integral_quadrature, make_pnd, whitened_poly
+from polynormal.pnd import integral_quadrature, make_pnd
 from polynormal.polyalg import (
     Polynomial,
     affine_substitute,
@@ -104,7 +104,7 @@ def test_criterion_2_diagnosis():
 def test_criterion_3_1d_decomposition_oracle():
     """theta floor at sqrt(1/2) and an exact convolution of the factors."""
     pnd = make_pnd(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0])
-    h = to_hermite(whitened_poly(pnd))
+    h = pnd.hermite
     floor = theta_floor(h, tol=1e-6)
     floor_err = abs(floor - math.sqrt(0.5))
     dec = decompose(pnd, theta=floor)

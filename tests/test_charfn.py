@@ -16,11 +16,11 @@ from polynormal.charfn import (
     make_charfn,
 )
 from polynormal.errors import DimensionMismatch, NegativeDensity, NotPositiveDefinite
-from polynormal.pnd import gauss_hermite_nodes, make_pnd, whitened_poly
+from polynormal.pnd import gauss_hermite_nodes, make_pnd
 from polynormal.polyalg import Polynomial
 from polynormal.verify import Example4Params, example4_candidate_cf
 
-from conftest import FAST_BUDGET, random_pnd
+from conftest import FAST_BUDGET, eligible_quartic_poly, random_pnd
 
 EQ6_BETA = {
     (2, 2): 1.0 / 3.0,
@@ -52,11 +52,18 @@ def test_forward_1d_quadratic():
     assert cf.beta.terms == pytest.approx({(0,): 1.0, (2,): 0.5})
 
 
+def test_forward_cf_substitutes_once(substitution_calls):
+    pnd = make_pnd(eligible_quartic_poly(), np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.5, -1.0]))
+    substitution_calls.clear()
+    forward_cf(pnd)
+    assert len(substitution_calls) == 1
+
+
 def _numeric_cf(pnd, ts, nodes=64):
     """Direct numerical integration of exp(i t.x) against the density."""
     u, w = gauss_hermite_nodes(pnd.dim, nodes)
     x = u @ pnd.form.whitener.T + pnd.shift
-    q = whitened_poly(pnd).eval_many(u)
+    q = pnd.whitened.eval_many(u)
     out = []
     for t in np.atleast_2d(ts):
         out.append(np.sum(w * q * np.exp(1j * (x @ t))))

@@ -54,8 +54,13 @@ def test_validate_negative_polynomial_exits_2(workdir, capsys):
     assert main(["validate", "--input", bad]) == 2
 
 
-def test_validate_negative_seed_exits_2(workdir, example4_json, capsys):
-    assert main(["--seed", "-1", "validate", "--input", example4_json]) == 2
+@pytest.mark.parametrize("command", ["validate", "probe"])
+def test_validate_negative_seed_exits_2(workdir, example4_json, capsys, command):
+    if command == "validate":
+        args = ["--input", example4_json]
+    else:
+        args = ["--poly", _write(workdir / "P.json", polynomial_to_dict(example4_poly())), "--starts", "2"]
+    assert main(["--seed", "-1", command, *args]) == 2
     assert "SearchBudget.seed" in capsys.readouterr().err
 
 
@@ -178,6 +183,15 @@ def test_decompose_seeds_every_scan(workdir, scan_budgets, seed):
     assert scan_budgets and all(b.seed == seed for b in scan_budgets)
     theta_search = [b for b in scan_budgets if b.doublings == PROBE_BUDGET.doublings]
     assert theta_search and all(b == replace(PROBE_BUDGET, seed=seed) for b in theta_search)
+
+
+def test_decompose_substitutions(workdir, substitution_calls):
+    # Loading whitens the density once; the split substitutes p_theta back
+    # to x, whitens factor_Y, and forward_cf substitutes t -> L't for the
+    # density and factor_Y.
+    path = _write(workdir / "quartic.json", _pnd_json(eligible_quartic_poly(), np.eye(2), np.zeros(2)))
+    assert main(["--out", str(workdir / "dec.json"), "decompose", "--input", path]) == 0
+    assert len(substitution_calls) == 5
 
 
 def test_validate_scans_once(workdir, example4_json, scan_calls):

@@ -18,7 +18,7 @@ from polynormal.decompose import (
     theta_floor,
 )
 from polynormal.errors import NoAdmissibleTheta, NotEligible, ThetaInadmissible
-from polynormal.pnd import SearchBudget, make_pnd, minimize_polynomial, whitened_poly
+from polynormal.pnd import SearchBudget, make_pnd, minimize_polynomial
 from polynormal.polyalg import (
     HermiteCoeffs,
     Polynomial,
@@ -91,7 +91,7 @@ def test_theta_floor_constant_returns_tol():
 
 def test_theta_floor_eligible_quartic_regression():
     pnd = make_pnd(eligible_quartic_poly(), np.eye(2), np.zeros(2))
-    h = to_hermite(whitened_poly(pnd))
+    h = pnd.hermite
     floor = theta_floor(h, tol=1e-6)
     assert 0.0 < floor < 1.0
     assert minimize_polynomial(theta_rescale(h, floor), FAST_BUDGET).value >= -1e-12
@@ -142,7 +142,7 @@ def test_theta_floor_rotated_oracle():
     # rounding alone, and the answer lands near 0.86 instead of 0.816.
     pnd = rotated_oracle_pnd()
     assert precheck(pnd).verdict == VERDICT_ELIGIBLE
-    floor = theta_floor(to_hermite(whitened_poly(pnd)), tol=1e-6)
+    floor = theta_floor(pnd.hermite, tol=1e-6)
     assert floor == pytest.approx(1.0 / math.sqrt(1.5), abs=1e-6)
 
 
@@ -150,12 +150,12 @@ def _reference_cases():
     rng = np.random.default_rng(5)
     cases = [
         ("closed form", HermiteCoeffs.from_coeffs(1, {(2,): 0.5, (0,): 1.0})),
-        ("eligible quartic", to_hermite(whitened_poly(make_pnd(eligible_quartic_poly(), np.eye(2), np.zeros(2))))),
-        ("rotated oracle", to_hermite(whitened_poly(rotated_oracle_pnd()))),
+        ("eligible quartic", make_pnd(eligible_quartic_poly(), np.eye(2), np.zeros(2)).hermite),
+        ("rotated oracle", rotated_oracle_pnd().hermite),
     ]
     for k in range(3):
         pnd = make_pnd(_random_eligible_poly(rng), random_pd_matrix(rng, 2), np.zeros(2), FAST_BUDGET)
-        cases.append((f"random quartic {k}", to_hermite(whitened_poly(pnd))))
+        cases.append((f"random quartic {k}", pnd.hermite))
     return cases
 
 
@@ -267,7 +267,7 @@ def test_decompose_whitening_equivariance():
     dec = decompose(pnd, theta=theta)
     # decompose the explicitly whitened density and transport back through L
     L = pnd.form.whitener
-    q = whitened_poly(pnd)
+    q = pnd.whitened
     pnd_w = make_pnd(q, np.eye(2), np.zeros(2))
     dec_w = decompose(pnd_w, theta=theta)
     eff = dec.factor_Y.norm_const * dec.factor_Y.poly
@@ -298,7 +298,7 @@ def test_monotone_admissibility_on_random_eligible_polys():
     for _ in range(20):
         p = _random_eligible_poly(rng)
         pnd = make_pnd(p, np.eye(2), np.zeros(2), FAST_BUDGET)
-        h = to_hermite(whitened_poly(pnd))
+        h = pnd.hermite
         floor = theta_floor(h, tol=1e-3, budget=probe)
         assert 0.0 < floor < 1.0
         for theta in np.linspace(floor, 1.0 - 1e-9, 5):

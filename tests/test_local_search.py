@@ -99,6 +99,17 @@ def test_saddle_at_the_start_is_left_downhill():
     assert vals[0] < 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doublings", [0, 30, 40, 60, 127])
+def test_saddle_at_the_start_is_left_in_a_wide_box(doublings):
+    # x1^8 + x2^8 - x1 x2: the origin is a saddle; the minima are -3/8 at
+    # +-(1, 1)/sqrt(2).  The first step along the negative curvature is as
+    # long as the box's diameter, up to 2**128.5 here.
+    p = Polynomial.from_terms(2, {(8, 0): 1.0, (0, 8): 1.0, (1, 1): -1.0})
+    _, vals = polish_minimum(p, np.zeros((1, 2)), SearchBudget(doublings=doublings))
+    assert vals[0] == pytest.approx(-0.375, abs=1e-12)
+
+
 @pytest.mark.parametrize("corner", [1.0, -1.0])
 def test_level_start_on_a_bound_with_negative_curvature_moves_into_the_box(corner):
     # -(x - c)^2 on [-1, 1] from x = c: no slope, curvature -2; the minimum

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from polynormal.errors import (
     DimensionMismatch,
@@ -25,11 +26,10 @@ from polynormal.pnd import (
     pnd_from_dict,
     pnd_to_dict,
     polish_minimum,
-    whitened_poly,
 )
-from polynormal.polyalg import Polynomial
+from polynormal.polyalg import Polynomial, affine_substitute, to_hermite
 
-from conftest import FAST_BUDGET, random_pd_matrix, random_pnd
+from conftest import FAST_BUDGET, polynomials, random_pd_matrix, random_pnd
 
 
 def test_quadform_identity():
@@ -204,13 +204,25 @@ def test_whitening_pointwise_identity():
         L = pnd.form.whitener
         A = pnd.form.matrix
         b = pnd.shift
-        q = whitened_poly(pnd)
+        q = pnd.whitened
         us = rng.uniform(-3.0, 3.0, size=(50, d))
         for u in us:
             x = L @ u + b
             lhs = pnd.norm_const * pnd.poly.eval(x) * math.exp(-0.5 * (x - b) @ A @ (x - b))
             rhs = q.eval(u) * math.exp(-0.5 * u @ u)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(max_degree=3))
+def test_a_density_carries_its_whitening_and_hermite_coefficients(case):
+    # q^2 + 1: even degree <= 6, positive.
+    q, rng = case
+    d = q.dim
+    pnd = make_pnd(q * q + Polynomial.constant(d, 1.0), random_pd_matrix(rng, d), rng.uniform(-1.0, 1.0, d), FAST_BUDGET)
+    whitened = pnd.norm_const * affine_substitute(pnd.poly, pnd.form.whitener, pnd.shift)
+    assert pnd.whitened.terms.dense().tobytes() == whitened.terms.dense().tobytes()
+    assert pnd.hermite.coeffs.dense().tobytes() == to_hermite(pnd.whitened).coeffs.dense().tobytes()
 
 
 def test_pnd_json_roundtrip(example4_pnd):

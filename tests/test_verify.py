@@ -7,10 +7,11 @@ import pytest
 
 from polynormal.decompose import GaussianFactor, decompose
 from polynormal.errors import NoWitnessFound, QuadratureOrderTooLow
-from polynormal.pnd import make_pnd
+from polynormal.pnd import make_pnd, make_quadform
 from polynormal.polyalg import Polynomial
 from polynormal.verify import (
     Example4Params,
+    _as_pnd,
     biquadratic_factor_probe,
     convolution_check,
     example4_B,
@@ -20,7 +21,7 @@ from polynormal.verify import (
     validate_example4_params,
 )
 
-from conftest import sample_example4_params
+from conftest import random_pd_matrix, sample_example4_params
 
 
 def _gauss(var):
@@ -39,6 +40,17 @@ def test_convolution_of_1d_decomposition():
     grid = np.linspace(-4.0, 4.0, 21)
     report = convolution_check(pnd, dec.factor_Y, dec.factor_Z, grid)
     assert report.max_abs_error <= 1e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_factor_is_promoted_to_a_unit_density(dim):
+    rng = np.random.default_rng(dim)
+    cov, mean = random_pd_matrix(rng, dim), rng.uniform(-1.0, 1.0, dim)
+    g = _as_pnd(GaussianFactor(mean=mean, cov=cov))
+    assert g.norm_const == 1.0
+    assert g.poly.terms.dense().tobytes() == Polynomial.constant(dim, 1.0).terms.dense().tobytes()
+    assert g.form.matrix.tobytes() == make_quadform(np.linalg.inv(cov)).matrix.tobytes()
+    assert g.shift.tobytes() == mean.tobytes()
 
 
 def test_convolution_negative_control():
