@@ -2,16 +2,19 @@
 
 ``Polynomial.terms`` and ``HermiteCoeffs.coeffs`` are read-only maps from
 exponent multi-indices to coefficients, stored as one vector over the indices
-of total degree <= degree.  The algebra runs on the dense (degree+1,)*dim
-array: per-axis contractions with exact integer 1-D tables for basis changes
-to and from He_k (orthogonal under exp(-x^2/2), He_2(x) = x^2 - 1), Horner's
-rule for affine substitution, and one exponent table with rows for the value,
-each first and each second partial derivative for evaluation.
+of total degree <= degree.  Most of the algebra runs on the
+dense (degree+1,)*dim array: per-axis contractions with exact integer 1-D
+tables for basis changes to and from He_k (orthogonal under exp(-x^2/2),
+He_2(x) = x^2 - 1), and one exponent table with rows for the value, each first
+and each second partial derivative for evaluation.  Affine substitution runs on
+the packed vector: Horner's rule one variable at a time, for all coefficient
+slices of that variable at once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from collections import namedtuple
 from collections.abc import Mapping
@@ -29,7 +32,7 @@ MultiIndex = tuple[int, ...]
 CANON_EPS = 1e-14
 
 
-_Layout = namedtuple("_Layout", "shape total keys index flat")
+_Layout = namedtuple("_Layout", "shape total keys index flat degrees")
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,12 +48,13 @@ def _hessian_rows(dim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _layout(dim: int, degree: int) -> _Layout:
     """Total degree of each entry of a (degree+1,)*dim coefficient array, and the
-    entries of total degree <= degree: multi-indices (C order), positions, flat indices."""
+    entries of total degree <= degree: multi-indices (C order, which is lex order
+    whatever the degree), positions, flat indices and total degrees."""
     shape = (degree + 1,) * dim
     total = sum(np.indices(shape))
     flat = np.flatnonzero(total <= degree)
     keys = list(map(tuple, np.transpose(np.unravel_index(flat, shape)).tolist()))
-    return _Layout(shape, total, keys, {k: i for i, k in enumerate(keys)}, flat)
+    return _Layout(shape, total, keys, {k: i for i, k in enumerate(keys)}, flat, total.reshape(-1)[flat])
 
 
 class _Coefficients(Mapping):
@@ -84,16 +88,24 @@ class _Coefficients(Mapping):
 
 
 def _wrap(cls, arr: np.ndarray, eps: float = CANON_EPS):
-    """``cls`` from a dense coefficient array: entries at or below eps dropped,
-    stored over the ``_layout`` of its dimension and total degree."""
-    if not np.isfinite(arr).all():
+    """``cls`` from a dense (n,)*dim coefficient array whose entries of total
+    degree above n - 1 are zero, as every kernel here leaves them."""
+    layout = _layout(arr.ndim, arr.shape[0] - 1)
+    return _wrap_packed(cls, arr.reshape(-1)[layout.flat], layout, eps)
+
+
+def _wrap_packed(cls, vec: np.ndarray, layout: _Layout, eps: float = CANON_EPS):
+    """``cls`` from a coefficient vector over ``layout``: entries at or below eps
+    dropped, stored over the ``_layout`` of its dimension and total degree."""
+    if not np.isfinite(vec).all():
         raise ValueError("coefficient is not finite")
-    arr = np.where(np.abs(arr) > eps, arr, 0.0)
-    degree = int(_layout(arr.ndim, arr.shape[0] - 1).total[arr != 0.0].max(initial=0))
-    layout = _layout(arr.ndim, degree)
-    vec = arr[(slice(degree + 1),) * arr.ndim].ravel()[layout.flat]
+    vec = np.where(np.abs(vec) > eps, vec, 0.0)
+    degree = int(layout.degrees[vec != 0.0].max(initial=0))
+    if degree < layout.shape[0] - 1:
+        vec = vec[layout.degrees <= degree]
     vec.setflags(write=False)
-    return cls(arr.ndim, _Coefficients(vec, layout), degree)
+    dim = len(layout.shape)
+    return cls(dim, _Coefficients(vec, _layout(dim, degree)), degree)
 
 
 def _canonical(cls, dim, terms, eps):
@@ -376,23 +388,71 @@ def theta_rescale(h: HermiteCoeffs, theta: float) -> Polynomial:
     return _wrap(Polynomial, _theta_scale(mono, theta))
 
 
-def _horner(q: np.ndarray, M: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Dense coefficients of x -> q(M x + c), q a polynomial in the last q.ndim
-    variables of y = M x + c: Horner's rule in the first of them, with each of
-    its coefficients (a slice of q) substituted recursively."""
-    d, j = len(c), len(c) - q.ndim
-    out = np.zeros((q.shape[0],) * d)
-    for k in reversed(range(q.shape[0])):
-        if out.any():  # out *= M[j] . x + c[j]: a shift-and-add along each axis
-            prev, out = out, c[j] * out
-            for i in np.flatnonzero(M[j]):
-                lead = (slice(None),) * i
-                out[lead + (slice(1, None),)] += M[j, i] * prev[lead + (slice(None, -1),)]
-        if q.ndim == 1:
-            out[(0,) * d] += q[k]
-        elif q[k].any():
-            out += _horner(q[k], M, c)
-    return out
+@functools.lru_cache(maxsize=64)
+def _substitution_plan(dim: int, degree: int):
+    """Index tables of ``_horner`` over the packed layout L = ``_layout(dim, degree)``
+    with m entries.
+
+    ``down[i]`` (m + 1,): for each column alpha of L, the column of alpha - e_i,
+    or the trailing column m, which stays zero, where alpha_i = 0; so gathering
+    it multiplies a row by x_i.  ``levels[j][k]``: the slices of variable y_j that
+    take the coefficient of y_j^k.  The slices of y_j are the leading multi-indices
+    a in (y_0, ..., y_{j-1}) with |a| <= degree, in graded order, so the ones with
+    |a| + k <= degree come first; entry r is the row of (a_r, k) one level in, among
+    the slices of y_{j+1} or, for j = dim - 1, among the columns of L.
+    """
+    layout = _layout(dim, degree)
+    m = len(layout.keys)
+    down = []
+    for i in range(dim):
+        col = [layout.index[a[:i] + (a[i] - 1,) + a[i + 1:]] if a[i] else m for a in layout.keys]
+        down.append(np.array(col + [m], dtype=np.intp))
+    slices = [
+        sorted((a for a in itertools.product(range(degree + 1), repeat=j) if sum(a) <= degree), key=grlex_key)
+        for j in range(dim)
+    ]
+    rows = [{a: r for r, a in enumerate(level)} for level in slices[1:]] + [layout.index]
+    levels = [
+        [np.array([rows[j][a + (k,)] for a in slices[j] if sum(a) + k <= degree], dtype=np.intp)
+         for k in range(degree + 1)]
+        for j in range(dim)
+    ]
+    return down, levels
+
+
+def _horner(vec: np.ndarray, M: np.ndarray, c: np.ndarray, degree: int) -> np.ndarray:
+    """Packed coefficients of x -> p(M x + c), p given by its packed coefficients
+    ``vec`` over ``_layout(dim, degree)``.
+
+    Horner's rule in y_j = M[j] . x + c[j], from the innermost variable outward,
+    for every slice of y_j at once (``_substitution_plan``): each slice a holds
+    sum_k y_j^k q[a, k], where q[a, k] is the coefficient of y_j^k, already
+    substituted one level in.  Each entry sees the same operations in the same
+    order as a recursion that substitutes one slice at a time, up to additions of
+    exact zeros, so the result is the same to the bit.  Slice a has no coefficient
+    of y_j^k for |a| + k > degree, so each step k works only on the leading rows,
+    those with |a| + k <= degree.
+    """
+    d = len(c)
+    down, levels = _substitution_plan(d, degree)
+    m = len(down[0]) - 1
+    inner = vec
+    for j in reversed(range(d)):
+        out = inner[:0]
+        for rows in reversed(levels[j]):
+            if j == d - 1:
+                acc = np.zeros((len(rows), m + 1))
+                acc[:, 0] = inner[rows]
+            else:
+                acc = inner[rows]
+            if len(out):  # (M[j] . x + c[j]) * out, one shift-and-add per variable
+                step = c[j] * out
+                for i in np.flatnonzero(M[j]):
+                    step += M[j, i] * out.take(down[i], axis=1)
+                acc[:len(out)] += step
+            out = acc
+        inner = out
+    return inner[0, :m]
 
 
 def affine_substitute(p: Polynomial, M, c) -> Polynomial:
@@ -408,7 +468,11 @@ def affine_substitute(p: Polynomial, M, c) -> Polynomial:
         raise DimensionMismatch(f"matrix has shape {M.shape}, expected {(d, d)}")
     if c.shape[0] != d:
         raise DimensionMismatch(f"offset has length {c.shape[0]}, expected {d}")
-    return _wrap(Polynomial, _horner(p.terms.dense(), M, c))
+    if not np.isfinite(M).all():
+        raise ValueError("matrix is not finite")
+    if not np.isfinite(c).all():
+        raise ValueError("offset is not finite")
+    return _wrap_packed(Polynomial, _horner(p.terms.vec, M, c, p.degree), p.terms.layout)
 
 
 # -- JSON schema --------------------------------------------------------------

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import ConditionFailed
 from .polyalg import Polynomial
@@ -80,6 +78,7 @@ def check_condition_337(p: Polynomial) -> bool:
 
 def _tail_radius(p: Polynomial, b0: float) -> float:
     """Smallest R with the lower-order tail bound at most b0 / 3."""
+    from scipy.optimize import brentq  # scipy loads on first use, not on import
     two_m = _even_degree(p)
     d = p.dim
     lower = [(sum(a), abs(c)) for a, c in p.terms.items() if sum(a) < two_m]
@@ -102,6 +101,7 @@ def _tail_radius(p: Polynomial, b0: float) -> float:
 
 def _ratio_min_on_ball(p: Polynomial, radius: float, two_m: int) -> float:
     """Grid-refined minimum of Q / (1 + sum x_j^{2m}) over the closed l1 ball."""
+    from scipy.optimize import minimize as _scipy_minimize
 
     def ratio_many(pts):
         denom = 1.0 + np.sum(np.abs(pts) ** two_m, axis=1)

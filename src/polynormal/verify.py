@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .charfn import CharFn, inverse_cf_parts, make_charfn
 from .errors import DimensionMismatch, NoWitnessFound, QuadratureOrderTooLow
@@ -318,6 +317,7 @@ def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) ->
     achieve it; small residual means a factorization was found, a stubborn
     floor across many starts is evidence against one.
     """
+    from scipy.optimize import least_squares  # scipy loads on first use, not on import
     if P.dim != 2:
         raise DimensionMismatch(f"polynomial must be bivariate, got dim {P.dim}")
     if P.degree > 4:

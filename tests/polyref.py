@@ -8,6 +8,9 @@ reference for the batched local searches of ``polynormal.pnd``
 (``test_local_search.py``), and so is the scan that searched its rounds one
 after another, one batch of local searches per round, as the reference for
 ``pnd.minimize_polynomial``, which searches every round's seeds at once.
+The recursive Horner substitution, one coefficient slice at a time, is kept as
+the bit-exact reference for ``polyalg.affine_substitute``, which substitutes
+every slice of a variable at once.
 """
 
 import functools
@@ -151,6 +154,25 @@ def affine_substitute_ref(p: Polynomial, M, c) -> Polynomial:
         for k, v in term.items():
             out[k] = out.get(k, 0.0) + v
     return Polynomial.from_terms(d, out)
+
+
+def horner_recursive_ref(q: np.ndarray, M: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Dense coefficients of x -> q(M x + c), q a polynomial in the last q.ndim
+    variables of y = M x + c: Horner's rule in the first of them, with each of
+    its coefficients (a slice of q) substituted recursively, one slice at a time."""
+    d, j = len(c), len(c) - q.ndim
+    out = np.zeros((q.shape[0],) * d)
+    for k in reversed(range(q.shape[0])):
+        if out.any():  # out *= M[j] . x + c[j]: a shift-and-add along each axis
+            prev, out = out, c[j] * out
+            for i in np.flatnonzero(M[j]):
+                lead = (slice(None),) * i
+                out[lead + (slice(1, None),)] += M[j, i] * prev[lead + (slice(None, -1),)]
+        if q.ndim == 1:
+            out[(0,) * d] += q[k]
+        elif q[k].any():
+            out += horner_recursive_ref(q[k], M, c)
+    return out
 
 
 def cf_eval_ref(cf, t) -> complex:

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polynormal
 from polynormal.cli import main
 from polynormal.decompose import PROBE_BUDGET
 from polynormal.polyalg import Polynomial, polynomial_to_dict
@@ -303,3 +308,13 @@ def test_outputs_are_deterministic(workdir, example4_json):
     assert main(["--out", str(out1), "charfn", "--input", example4_json]) == 0
     assert main(["--out", str(out2), "charfn", "--input", example4_json]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy loads on first use (the infimum estimate and the factor probe);
+    # a fresh interpreter shows what importing alone loads.
+    src = str(Path(polynormal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, polynormal, polynormal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

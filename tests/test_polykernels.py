@@ -7,9 +7,12 @@ substitution) and
 1e-12 * max(1, largest coefficient) for d = 1..3 and degree <= 8;
 ``charfn.real_imag_parts`` only moves signs, so it must match exactly.
 Evaluation points lie in [-1, 1]^d, where that scale bounds every value.
+Affine substitution must also match the recursive Horner substitution of
+``polyref`` to the bit, for d = 1..4.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from polynormal.errors import DimensionMismatch
 from polynormal.polyalg import (
     HermiteCoeffs,
     Polynomial,
+    _wrap,
     affine_substitute,
     from_hermite,
     theta_rescale,
@@ -35,6 +39,7 @@ from polyref import (
     from_hermite_ref,
     grad_eval_ref,
     hessian_eval_ref,
+    horner_recursive_ref,
     mul_ref,
     real_imag_parts_ref,
     theta_rescale_ref,
@@ -142,6 +147,39 @@ def test_affine_substitute_matches_the_loop(case):
     M, c = _invertible(rng, p.dim), rng.uniform(-1.0, 1.0, size=p.dim)
     ref = affine_substitute_ref(p, M, c)
     assert affine_substitute(p, M, c).max_abs_coeff_diff(ref) <= TOL * _scale(ref.terms, p.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(max_dim=4), st.sampled_from(["dense", "triangular", "zeros"]), st.booleans())
+def test_affine_substitute_is_bit_identical_to_the_recursion(case, matrix, offset):
+    p, rng = case
+    d = p.dim
+    M = rng.uniform(-2.0, 2.0, size=(d, d))
+    if matrix == "triangular":
+        M = np.triu(M)
+    elif matrix == "zeros":
+        M[rng.random((d, d)) < 0.4] = 0.0
+    c = rng.uniform(-2.0, 2.0, size=d) if offset else np.zeros(d)
+    out = affine_substitute(p, M, c)
+    ref = _wrap(Polynomial, horner_recursive_ref(p.terms.dense(), M, c))
+    assert out.degree == ref.degree
+    assert out.terms.vec.tobytes() == ref.terms.vec.tobytes()
+
+
+@pytest.mark.parametrize(
+    "M, c, name",
+    [
+        ([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0], "matrix"),
+        ([[1.0, 0.0], [np.nan, 1.0]], [0.0, 0.0], "matrix"),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, np.nan], "offset"),
+    ],
+)
+def test_non_finite_substitution_is_rejected_naming_the_argument(M, c, name):
+    p = Polynomial.from_terms(2, {(2, 0): 1.0, (0, 2): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} is not finite"):
+            affine_substitute(p, M, c)
 
 
 @FAST
