@@ -11,7 +11,6 @@ from .errors import (
     NotSymmetric,
     NoWitnessFound,
     PolynormalError,
-    QuadratureOrderTooLow,
     ThetaInadmissible,
     ZeroIntegral,
 )

@@ -18,7 +18,6 @@ expanded coefficients against (i t)^a stay real.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -160,11 +159,3 @@ def charfn_from_dict(data: Mapping) -> CharFn:
     dim = int(data["dim"])
     beta = polynomial_from_dict({"dim": dim, "terms": data["beta"]})
     return make_charfn(beta, np.asarray(data["Sigma"], dtype=float), np.asarray(data["b"], dtype=float))
-
-
-def charfn_to_json(cf: CharFn) -> str:
-    return json.dumps(charfn_to_dict(cf), indent=2, sort_keys=True)
-
-
-def charfn_from_json(text: str) -> CharFn:
-    return charfn_from_dict(json.loads(text))

@@ -71,7 +71,6 @@ class RunConfig:
     are the argparse destinations of the global options."""
 
     theta_tol: float = DEFAULT_THETA_TOL
-    quadrature_order: int | None = None
     seed: int = 0
     out: str | None = None
     verbose: bool = False
@@ -84,8 +83,6 @@ class RunConfig:
         cfg = RunConfig(**given)
         if not 0.0 < cfg.theta_tol < np.inf:
             raise ValueError(f"tolerance must be finite and positive, got {cfg.theta_tol}")
-        if cfg.quadrature_order is not None and cfg.quadrature_order <= 0:
-            raise ValueError("quadrature order must be positive")
         cfg.budget()  # rejects a malformed seed for every subcommand
         return cfg
 
@@ -133,7 +130,7 @@ def _cmd_validate(args, cfg: RunConfig) -> int:
     report = {
         "valid": True,
         "norm_const": pnd.norm_const,
-        "integral": integral_quadrature(pnd, cfg.quadrature_order),
+        "integral": integral_quadrature(pnd),
         "poly_min": {
             "value": scan.value,
             "point": [float(v) for v in scan.point],
@@ -234,7 +231,7 @@ def _cmd_verify_conv(args, cfg: RunConfig) -> int:
     f = _load_pnd(args.f, cfg)
     g1 = _load_factor(args.y, cfg)
     g2 = _load_factor(args.z, cfg)
-    report = convolution_check(f, g1, g2, _default_grid(f.dim), cfg.quadrature_order)
+    report = convolution_check(f, g1, g2, _default_grid(f.dim))
     _emit(
         {
             "max_abs_error": report.max_abs_error,
@@ -301,8 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"seed for all randomized searches (default {RunConfig.seed})")
     common.add_argument("--out", "--output", dest="out", default=argparse.SUPPRESS,
                         help="output JSON path (default stdout)")
-    common.add_argument("--quadrature-order", type=int, default=argparse.SUPPRESS,
-                        help="Gauss-Hermite nodes per axis")
     common.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
                         help="print a short human-readable summary to stderr")
 

@@ -63,7 +63,3 @@ class NoWitnessFound(PolynormalError):
     def __init__(self, n_max):
         self.n_max = n_max
         super().__init__(f"no negative value found along the probe curve up to n={n_max}")
-
-
-class QuadratureOrderTooLow(PolynormalError):
-    """Gauss-Hermite node count cannot integrate the polynomial degree exactly."""

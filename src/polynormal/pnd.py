@@ -399,15 +399,14 @@ def gauss_hermite_nodes(dim: int, n: int):
     return pts, wts
 
 
-def integral_quadrature(pnd: PND, nodes: int | None = None) -> float:
+def integral_quadrature(pnd: PND) -> float:
     """Integral of the density by Gauss-Hermite quadrature in whitened coords.
 
-    Exact for the polynomial degree whenever nodes > degree / 2; default
-    follows the degree + 20 rule so it doubles as a rounding cross-check
-    of the Hermite normalization path.
+    Exact for the polynomial degree whenever nodes > degree / 2; it takes
+    degree + 20 nodes per axis so it doubles as a rounding cross-check of
+    the Hermite normalization path.
     """
-    n = nodes if nodes is not None else pnd.poly.degree + 20
-    u, w = gauss_hermite_nodes(pnd.dim, n)
+    u, w = gauss_hermite_nodes(pnd.dim, pnd.poly.degree + 20)
     x = u @ pnd.form.whitener.T + pnd.shift
     return float(w @ pnd.poly.eval_many(x)) * pnd.norm_const
 

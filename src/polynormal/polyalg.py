@@ -309,9 +309,6 @@ class HermiteCoeffs(_Expansion):
     def from_coeffs(dim: int, coeffs, eps: float = CANON_EPS) -> "HermiteCoeffs":
         return _canonical(HermiteCoeffs, dim, coeffs, eps)
 
-    def sorted_coeffs(self) -> list:
-        return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
-
 
 # -- 1D conversion tables (exact integers in float storage) ------------------
 

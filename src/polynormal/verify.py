@@ -5,7 +5,8 @@ Three families of checks live here:
 * ``convolution_check`` -- confirms a claimed factorization in density
   space: the convolution of the two factors, computed by Gauss-Hermite
   quadrature against the combined Gaussian weight, must reproduce the
-  original density pointwise.
+  original density pointwise.  The rule's order follows from the factors'
+  degrees.
 
 * the ``example4_*`` functions -- a bundled two-dimensional counterexample
   family built from the density (1/(6 pi)) [(x1 x2 - 1)^2 + x2^2]
@@ -21,7 +22,9 @@ Three families of checks live here:
 
 * ``biquadratic_factor_probe`` -- multistart least squares over products of
   two bivariate quadratics; failure to reach a small residual is evidence
-  (not proof) that a quartic does not split into quadratic factors.
+  (not proof) that a quartic does not split into quadratic factors.  The
+  product is one constant bilinear tensor, so the residual and its exact
+  Jacobian are two contractions.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import CharFn, inverse_cf_parts, make_charfn
-from .errors import DimensionMismatch, NoWitnessFound, QuadratureOrderTooLow
+from .errors import DimensionMismatch, NoWitnessFound
 from .decompose import GaussianFactor
 from .pnd import PND, _build_pnd, _gauss_scale, density_many, gauss_hermite_nodes, make_quadform
 from .polyalg import Polynomial
 
 WITNESS_TOL = -1e-10
+_B_SAMPLE_NS = (2.0, 3.0, 4.0)  # probe-curve parameters that determine B numerically
+_SLICE_POINTS = 200  # probe-curve points in a density slice export
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ def _as_pnd(g) -> PND:
     raise TypeError(f"expected PND or GaussianFactor, got {type(g)!r}")
 
 
-def convolution_check(f: PND, g1, g2, grid, quadrature_order: int | None = None) -> ConvReport:
+def convolution_check(f: PND, g1, g2, grid) -> ConvReport:
     """Compare (g1 * g2)(x) against f(x) on a grid of points.
 
     The two Gaussian exponents are merged by completing the square, which
@@ -100,13 +105,7 @@ def convolution_check(f: PND, g1, g2, grid, quadrature_order: int | None = None)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid.reshape(-1, 1) if d == 1 else grid.reshape(1, -1)
-    combined_degree = g1.poly.degree + g2.poly.degree
-    min_order = combined_degree // 2 + 1
-    order = quadrature_order if quadrature_order is not None else min_order + 8
-    if order < min_order:
-        raise QuadratureOrderTooLow(
-            f"order {order} cannot integrate combined degree {combined_degree}"
-        )
+    order = (g1.poly.degree + g2.poly.degree) // 2 + 1 + 8  # the exact minimum, plus 8
     A1, b1 = g1.form.matrix, g1.shift
     A2, b2 = g2.form.matrix, g2.shift
     S = A1 + A2
@@ -252,30 +251,31 @@ def example4_negative_witness(params: Example4Params, n_max: int = 50) -> Witnes
     raise NoWitnessFound(n_max)
 
 
-def example4_B_from_density(params: Example4Params, n_values=(2.0, 3.0, 4.0)) -> float:
+def example4_B_from_density(params: Example4Params) -> float:
     """Numerical extraction of the n^2 growth coefficient.
 
     Along the probe curve the recomputed polynomial is exactly of the form
-    (B n^2 + c0 + c2 / n^2) / 3, so three curve samples determine B; small
-    sample values keep the solve well conditioned.  Computed on the |a12|
-    configuration, matching the closed forms.
+    (B n^2 + c0 + c2 / n^2) / 3, so the three curve samples at
+    ``_B_SAMPLE_NS`` determine B; small sample values keep the solve well
+    conditioned.  Computed on the |a12| configuration, matching the closed
+    forms.
     """
     validate_example4_params(params)
     if params.a12 == 0.0:
         raise ValueError("a12 must be nonzero for the growth-coefficient extraction")
     params_abs = Example4Params(params.a11, abs(params.a12), params.a22)
     _, poly, _ = example4_signed_density(params_abs)
-    ns = np.asarray(n_values, dtype=float)
+    ns = np.asarray(_B_SAMPLE_NS)
     basis = np.stack([ns**2, np.ones_like(ns), ns**-2.0], axis=1)
     samples = np.array([poly.eval(_curve_point(params_abs, n)) for n in ns])
     coeffs = np.linalg.solve(basis, samples)
     return 3.0 * float(coeffs[0])
 
 
-def example4_witness_slice(params: Example4Params, n_max: int, points: int = 200) -> np.ndarray:
-    """Probe-curve sample points for density slice export."""
+def example4_witness_slice(params: Example4Params, n_max: int) -> np.ndarray:
+    """``_SLICE_POINTS`` probe-curve sample points for density slice export."""
     validate_example4_params(params)
-    ts = np.linspace(1.0, float(n_max), points)
+    ts = np.linspace(1.0, float(n_max), _SLICE_POINTS)
     if params.a12 == 0.0:
         return np.stack([math.sqrt(params.a11) * ts, np.zeros_like(ts)], axis=1)
     params_abs = Example4Params(params.a11, abs(params.a12), params.a22)
@@ -296,6 +296,25 @@ _QUARTIC_EXPS = [
 _QUARTIC_EXPS.sort(key=lambda a: (sum(a), a))
 _QUARTIC_POS = {alpha: i for i, alpha in enumerate(_QUARTIC_EXPS)}
 
+# _PRODUCT[k, i, j] = 1 where x^e_i x^e_j is quartic monomial k, so the
+# product of quadratics with coefficients z1, z2 has coefficients
+# (_PRODUCT @ z2) @ z1.
+_PRODUCT = np.array(
+    [[[float((a[0] + b[0], a[1] + b[1]) == k) for b in _QUAD_EXPS] for a in _QUAD_EXPS] for k in _QUARTIC_EXPS]
+)
+
+
+def _product_residual(z, target):
+    """Coefficients of the product of the quadratics z[:6] and z[6:], minus target."""
+    return (_PRODUCT @ z[6:]) @ z[:6] - target
+
+
+def _product_jacobian(z, target):
+    """Exact Jacobian of ``_product_residual``: the map is bilinear, so each
+    block is the product tensor contracted with the other factor.  scipy
+    passes the residual's ``target`` here too; the Jacobian does not use it."""
+    return np.hstack([_PRODUCT @ z[6:], z[:6] @ _PRODUCT])
+
 
 def _quadratic_from_vector(z) -> Polynomial:
     return Polynomial.from_terms(2, dict(zip(_QUAD_EXPS, z)))
@@ -313,9 +332,10 @@ def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) ->
 
     The residual is coefficient-space: expand the product, subtract P's
     coefficients over all bivariate exponents of total degree at most 4,
-    and sum the squares.  Returns the best residual and the factors that
-    achieve it; small residual means a factorization was found, a stubborn
-    floor across many starts is evidence against one.
+    and sum the squares.  Each start is one Levenberg-Marquardt search with
+    the residual's exact Jacobian.  Returns the best residual and the
+    factors that achieve it; small residual means a factorization was found,
+    a stubborn floor across many starts is evidence against one.
     """
     from scipy.optimize import least_squares  # scipy loads on first use, not on import
     if P.dim != 2:
@@ -328,20 +348,6 @@ def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) ->
     for alpha, c in P.terms.items():
         target[_QUARTIC_POS[alpha]] = c
 
-    # Precomputed positions: product coefficient k gets z1[i] * z2[j].
-    pair_pos = [
-        (i, j, _QUARTIC_POS[(e1[0] + e2[0], e1[1] + e2[1])])
-        for i, e1 in enumerate(_QUAD_EXPS)
-        for j, e2 in enumerate(_QUAD_EXPS)
-    ]
-
-    def residual(z):
-        out = -target.copy()
-        z1, z2 = z[:6], z[6:]
-        for i, j, k in pair_pos:
-            out[k] += z1[i] * z2[j]
-        return out
-
     rng = np.random.default_rng(seed)
     scale = max(1.0, math.sqrt(float(np.abs(target).max())))
     best_ssq = math.inf
@@ -349,7 +355,8 @@ def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) ->
     for _ in range(starts):
         z0 = rng.standard_normal(12) * scale
         res = least_squares(
-            residual, z0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000
+            _product_residual, z0, jac=_product_jacobian, args=(target,),
+            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
         )
         ssq = float(np.sum(res.fun**2))
         if ssq < best_ssq:

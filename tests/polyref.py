@@ -10,17 +10,23 @@ after another, one batch of local searches per round, as the reference for
 ``pnd.minimize_polynomial``, which searches every round's seeds at once.
 The recursive Horner substitution, one coefficient slice at a time, is kept as
 the bit-exact reference for ``polyalg.affine_substitute``, which substitutes
-every slice of a variable at once.
+every slice of a variable at once.  The biquadratic factor probe whose
+residual summed the 36 coefficient products in a loop, with its Jacobian
+taken by scipy's finite differences, is kept as the reference for
+``verify.biquadratic_factor_probe`` (``test_verify.py``).
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.optimize import minimize as scipy_minimize
 
 from polynormal.pnd import MinimizationResult, SearchBudget, _grid_candidates, _local_minima
 from polynormal.polyalg import HermiteCoeffs, Polynomial
+from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _quadratic_from_vector
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,3 +264,34 @@ def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> Minim
     still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
     interior = bool(np.max(np.abs(best_pt)) <= 0.9 * radius)
     return MinimizationResult(best_pt, best_val, attained=(not still_improving) and interior)
+
+
+def product_residual_ref(z, target) -> np.ndarray:
+    """Coefficients of the product of the quadratics z[:6] and z[6:], minus
+    target, one coefficient product at a time."""
+    out = -np.asarray(target, dtype=float).copy()
+    for i, e1 in enumerate(_QUAD_EXPS):
+        for j, e2 in enumerate(_QUAD_EXPS):
+            out[_QUARTIC_POS[(e1[0] + e2[0], e1[1] + e2[1])]] += z[i] * z[6 + j]
+    return out
+
+
+def biquadratic_factor_probe_ref(P: Polynomial, starts: int = 200, seed: int = 0) -> ProbeResult:
+    """The probe with the looped residual and a finite-difference Jacobian:
+    the same start draws, solver settings and choice of the best start."""
+    target = np.zeros(len(_QUARTIC_EXPS))
+    for alpha, c in P.terms.items():
+        target[_QUARTIC_POS[alpha]] = c
+    rng = np.random.default_rng(seed)
+    scale = max(1.0, math.sqrt(float(np.abs(target).max())))
+    best_ssq, best_z = math.inf, None
+    for _ in range(starts):
+        z0 = rng.standard_normal(12) * scale
+        res = least_squares(
+            product_residual_ref, z0, args=(target,),
+            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
+        )
+        ssq = float(np.sum(res.fun**2))
+        if ssq < best_ssq:
+            best_ssq, best_z = ssq, res.x
+    return ProbeResult(best_ssq, _quadratic_from_vector(best_z[:6]), _quadratic_from_vector(best_z[6:]))

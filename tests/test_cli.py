@@ -14,7 +14,7 @@ import pytest
 import polynormal
 from polynormal.cli import main
 from polynormal.decompose import PROBE_BUDGET
-from polynormal.polyalg import Polynomial, polynomial_to_dict
+from polynormal.polyalg import Polynomial, affine_substitute, polynomial_to_dict
 
 from conftest import eligible_quartic_poly, example4_poly
 
@@ -300,6 +300,40 @@ def test_grid_tol_is_not_an_option(workdir, example4_json, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--input", example4_json, "--grid-tol", "1e-3"])
     assert exc.value.code == 2
+
+
+def test_quadrature_order_is_not_an_option(workdir, example4_json, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--quadrature-order", "12", "validate", "--input", example4_json])
+    assert exc.value.code == 2
+
+
+def _rotated_example4_json(workdir, angle):
+    """(x1 x2 - 1)^2 + x2^2 with A = I and b = 0, written in coordinates
+    rotated by ``angle``: the same density, which has no Gaussian factor."""
+    c, s = math.cos(angle), math.sin(angle)
+    p = affine_substitute(example4_poly(), np.array([[c, -s], [s, c]]), np.zeros(2))
+    return _write(workdir / "rotated.json", _pnd_json(p, np.eye(2), np.zeros(2)))
+
+
+ROTATIONS = pytest.mark.parametrize("angle", [0.01, math.pi / 4], ids=["0.01", "quarter_pi"])
+
+
+@ROTATIONS
+def test_rotated_example4_is_not_split_at_the_default_tolerance(workdir, capsys, angle):
+    # Rotated, the axis condition holds; the theta search's box-16 scans
+    # see p_theta go negative below 1, so no split is returned.
+    assert main(["decompose", "--input", _rotated_example4_json(workdir, angle)]) != 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="false split: the floor lands within tol of 1 and theta is clamped to "
+    "1 - 1e-9, a value the search never tested (ROADMAP direction 2)",
+)
+@ROTATIONS
+def test_rotated_example4_is_not_split_at_a_coarser_tolerance(workdir, capsys, angle):
+    assert main(["--tol", "1e-5", "decompose", "--input", _rotated_example4_json(workdir, angle)]) != 0
 
 
 def test_outputs_are_deterministic(workdir, example4_json):

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from polynormal.decompose import GaussianFactor, decompose
-from polynormal.errors import NoWitnessFound, QuadratureOrderTooLow
+from polynormal.errors import NoWitnessFound
 from polynormal.pnd import make_pnd, make_quadform
 from polynormal.polyalg import Polynomial
 from polynormal.verify import (
+    _PRODUCT,
     Example4Params,
     _as_pnd,
+    _product_jacobian,
+    _product_residual,
+    _quadratic_from_vector,
     biquadratic_factor_probe,
     convolution_check,
     example4_B,
@@ -22,6 +26,7 @@ from polynormal.verify import (
 )
 
 from conftest import random_pd_matrix, sample_example4_params
+from polyref import biquadratic_factor_probe_ref, product_residual_ref
 
 
 def _gauss(var):
@@ -59,13 +64,6 @@ def test_convolution_negative_control():
     wrong = GaussianFactor(mean=dec.factor_Z.mean, cov=dec.factor_Z.cov + 0.1)
     report = convolution_check(pnd, dec.factor_Y, wrong, np.linspace(-4.0, 4.0, 21))
     assert report.max_abs_error > 1e-3
-
-
-def test_convolution_order_too_low():
-    pnd = make_pnd(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0])
-    dec = decompose(pnd, theta=math.sqrt(0.5))
-    with pytest.raises(QuadratureOrderTooLow):
-        convolution_check(pnd, dec.factor_Y, dec.factor_Z, [0.0], quadrature_order=1)
 
 
 def test_example4_B_reference_value():
@@ -200,3 +198,56 @@ def test_probe_random_factorable_products():
             continue
         result = biquadratic_factor_probe(P, starts=20, seed=int(rng.integers(1 << 31)))
         assert result.residual <= 1e-8
+
+
+def _random_factors(rng):
+    z = rng.standard_normal(12) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return z, rng.standard_normal(15) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+def _rounding_scale(z, target):
+    """Sum of the magnitudes that enter each residual coefficient."""
+    return (_PRODUCT @ np.abs(z[6:])) @ np.abs(z[:6]) + np.abs(target)
+
+
+def test_product_residual_matches_the_pair_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        z, target = _random_factors(rng)
+        diff = np.abs(_product_residual(z, target) - product_residual_ref(z, target))
+        assert np.all(diff <= 1e-15 * _rounding_scale(z, target))
+
+
+def test_product_jacobian_matches_central_differences():
+    # The residual is affine in each single coordinate, so a central
+    # difference with any step is exact up to rounding.
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        z, target = _random_factors(rng)
+        steps = np.eye(12)
+        fd = np.stack(
+            [(product_residual_ref(z + e, target) - product_residual_ref(z - e, target)) / 2.0 for e in steps],
+            axis=1,
+        )
+        scale = max(1.0, float(np.max(_rounding_scale(z, target))))
+        assert np.max(np.abs(_product_jacobian(z, target) - fd)) <= 1e-12 * scale
+
+
+def test_probe_floor_matches_the_reference_probe():
+    P = _poly2({(2, 2): 1.0, (1, 1): 2.0, (0, 2): -2.0, (2, 0): -1.0, (0, 0): 3.0})
+    ref = biquadratic_factor_probe_ref(P, starts=60, seed=0).residual
+    assert biquadratic_factor_probe(P, starts=60, seed=0).residual == pytest.approx(ref, rel=1e-9)
+
+
+def test_probe_and_reference_split_factorable_products():
+    rng = np.random.default_rng(25)
+    done = 0
+    while done < 6:
+        z = rng.standard_normal(12)
+        P = _quadratic_from_vector(z[:6]) * _quadratic_from_vector(z[6:])
+        if P.degree != 4:
+            continue
+        done += 1
+        seed = int(rng.integers(1 << 31))
+        assert biquadratic_factor_probe(P, starts=8, seed=seed).residual <= 1e-20
+        assert biquadratic_factor_probe_ref(P, starts=8, seed=seed).residual <= 1e-20
