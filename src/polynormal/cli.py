@@ -1,8 +1,10 @@
 """Command-line pipeline: JSON in, JSON/CSV out.
 
 Exit codes: 0 ok, 1 parse error, 2 invalid density or parameters,
-3 density has a real zero, 4 axis condition fails.  Identical inputs and
-configuration produce byte-identical JSON outputs.
+3 density has a real zero, 4 no Gaussian factor found: the axis condition
+fails, or no theta below 1 passes the gate scan (``decompose`` writes the
+reason as ``{"error": ...}``).  Identical inputs and configuration produce
+byte-identical JSON outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .charfn import (
 )
 from .decompose import (
     DEFAULT_THETA_TOL,
-    VERDICT_FAILS_CONDITION_337,
     VERDICT_HAS_REAL_ZERO,
     decompose,
     decomposition_to_dict,
@@ -33,8 +34,10 @@ from .decompose import (
 )
 from .errors import (
     NegativeDensity,
+    NoAdmissibleTheta,
     NotEligible,
     PolynormalError,
+    ThetaInadmissible,
     ZeroIntegral,
 )
 from .pnd import (
@@ -62,7 +65,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_ZERO = 3
-EXIT_CONDITION = 4
+EXIT_NO_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -196,11 +199,10 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
         dec = decompose(pnd, theta=args.theta, tol=cfg.theta_tol, budget=cfg.budget())
     except NotEligible as exc:
         _emit({"error": str(exc), "diagnosis": diagnosis_to_dict(exc.diagnosis)}, cfg)
-        if exc.diagnosis.verdict == VERDICT_HAS_REAL_ZERO:
-            return EXIT_ZERO
-        if exc.diagnosis.verdict == VERDICT_FAILS_CONDITION_337:
-            return EXIT_CONDITION
-        return EXIT_INVALID
+        return EXIT_ZERO if exc.diagnosis.verdict == VERDICT_HAS_REAL_ZERO else EXIT_NO_FACTOR
+    except (ThetaInadmissible, NoAdmissibleTheta) as exc:
+        _emit({"error": str(exc)}, cfg)
+        return EXIT_NO_FACTOR
     _note(cfg, f"theta = {dec.theta:.9g}, min of rescaled polynomial = {dec.min_p_theta:.3e}")
     _emit(decomposition_to_dict(dec), cfg)
     return EXIT_OK

@@ -13,7 +13,8 @@ admissible theta is found by bisection.  Each midpoint is decided by
 local polishes from stored witness points, where the rescaled polynomial
 went negative before; global minimum scans run only at the start and to
 confirm the end point, and a confirmation that finds a negative point
-adds it as a witness and runs the bisection again.
+adds it as a witness and runs the bisection again.  A split needs an
+attained, nonnegative gate scan at its theta.
 
 The reported theta_floor is the minimal isotropic-whitened theta found by
 this search, not a claim about every conceivable factorization.
@@ -21,7 +22,7 @@ this search, not a claim about every conceivable factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +49,6 @@ ZERO_TOL = 1e-9
 # The rescaled polynomial may dip this far below zero and still be accepted.
 RESCALE_TOL = -1e-12
 DEFAULT_THETA_TOL = 1e-6
-
-# Budget for the global scans of the theta search; each only needs the sign
-# and the point of its minimum, not a tight value.
-PROBE_BUDGET = SearchBudget(doublings=4, grid_points=7)
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,7 @@ def theta_floor(
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    budget = budget or PROBE_BUDGET
+    budget = budget or SearchBudget()
     if h.degree == 0:
         return tol
     start = 1.0 - 1e-9
@@ -186,8 +183,9 @@ def decompose(
 
     Raises ``NotEligible`` unless ``precheck`` finds the density Eligible;
     the result carries that diagnosis.  With no explicit theta, picks
-    theta_floor + tol: the largest Gaussian factor this search, seeded by
-    ``budget`` like every scan here, can certify.  The shift lands in the
+    theta_floor + tol; ``NoAdmissibleTheta`` if that is not below 1.  Every
+    scan uses ``budget``; ``ThetaInadmissible`` unless the one at theta is
+    attained and no lower than ``RESCALE_TOL``.  The shift lands in the
     Gaussian factor; factor_Y is centered.
     """
     budget = budget or SearchBudget()
@@ -195,14 +193,15 @@ def decompose(
     if diag.verdict != VERDICT_ELIGIBLE:
         raise NotEligible(diag)
     if theta is None:
-        floor = theta_floor(pnd.hermite, tol, replace(PROBE_BUDGET, seed=budget.seed))
-        theta = min(floor + tol, 1.0 - 1e-9)
+        theta = theta_floor(pnd.hermite, tol, budget) + tol
+        if theta >= 1.0:
+            raise NoAdmissibleTheta(f"no theta below 1 found admissible at tolerance {tol:g}")
     elif not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     p_theta = theta_rescale(pnd.hermite, theta)
     scan = minimize_polynomial(p_theta, budget)
-    if scan.value < RESCALE_TOL:
-        raise ThetaInadmissible(scan.value)
+    if scan.value < RESCALE_TOL or not scan.attained:
+        raise ThetaInadmissible(scan.value, scan.point, negative=scan.value < RESCALE_TOL)
     L = pnd.form.whitener
     Linv = np.linalg.inv(L)
     # No second scan: factor_Y's polynomial is p_theta in other coordinates,

@@ -46,11 +46,23 @@ class NotEligible(PolynormalError):
 
 
 class ThetaInadmissible(PolynormalError):
-    """Requested theta makes the rescaled polynomial go negative."""
+    """The gate scan at theta does not show a nonnegative rescaled polynomial.
 
-    def __init__(self, min_value):
-        self.min_value = min_value
-        super().__init__(f"rescaled polynomial reaches {min_value:.6g}")
+    Either the scan reached a value below the rescale tolerance
+    (``negative``), or its minimum was not attained: still falling at the
+    box fringe, it may go negative outside the box.  Carries the scan's
+    point and value.
+    """
+
+    def __init__(self, value, point, negative):
+        self.value = value
+        self.point = point
+        self.negative = negative
+        if negative:
+            reason = f"rescaled polynomial reaches {value:.6g} at {point}"
+        else:
+            reason = f"rescaled polynomial's scan minimum {value:.6g} at {point} is not attained"
+        super().__init__(reason)
 
 
 class NoAdmissibleTheta(PolynormalError):

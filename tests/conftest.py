@@ -81,6 +81,11 @@ def eligible_quartic_poly() -> Polynomial:
     return Polynomial.from_terms(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 1.0, (0, 0): 1.0})
 
 
+def indefinite_top_form_poly() -> Polynomial:
+    """(x1^2 - x2^2)^2 + 1: positive, but its top form vanishes on the diagonals."""
+    return Polynomial.from_terms(2, {(4, 0): 1.0, (2, 2): -2.0, (0, 4): 1.0, (0, 0): 1.0})
+
+
 def all_multiindices(dim: int, max_degree: int):
     return [
         alpha

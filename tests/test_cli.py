@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +12,10 @@ import pytest
 
 import polynormal
 from polynormal.cli import main
-from polynormal.decompose import PROBE_BUDGET
+from polynormal.pnd import SearchBudget
 from polynormal.polyalg import Polynomial, affine_substitute, polynomial_to_dict
 
-from conftest import eligible_quartic_poly, example4_poly
+from conftest import eligible_quartic_poly, example4_poly, indefinite_top_form_poly
 
 
 @pytest.fixture
@@ -185,9 +184,7 @@ def test_decompose_seeds_every_scan(workdir, scan_budgets, seed):
     )
     argv = ["--seed", str(seed), "--out", str(workdir / "dec.json"), "decompose", "--input", path]
     assert main(argv) == 0
-    assert scan_budgets and all(b.seed == seed for b in scan_budgets)
-    theta_search = [b for b in scan_budgets if b.doublings == PROBE_BUDGET.doublings]
-    assert theta_search and all(b == replace(PROBE_BUDGET, seed=seed) for b in theta_search)
+    assert scan_budgets and all(b == SearchBudget(seed=seed) for b in scan_budgets)
 
 
 def test_decompose_substitutions(workdir, substitution_calls):
@@ -229,6 +226,15 @@ def test_decompose_explicit_theta(workdir, capsys):
     dec = json.loads(capsys.readouterr().out)
     assert dec["theta"] == pytest.approx(theta, abs=1e-12)
     assert dec["factor_Z"]["cov"][0][0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_decompose_inadmissible_theta_exits_4(workdir, capsys):
+    path = _write(
+        workdir / "q1.json",
+        _pnd_json(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0]),
+    )
+    assert main(["decompose", "--input", path, "--theta", "0.5"]) == 4  # below the sqrt(1/2) floor
+    assert "rescaled polynomial reaches" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_verify_conv_command(workdir, capsys):
@@ -316,24 +322,31 @@ def _rotated_example4_json(workdir, angle):
     return _write(workdir / "rotated.json", _pnd_json(p, np.eye(2), np.zeros(2)))
 
 
-ROTATIONS = pytest.mark.parametrize("angle", [0.01, math.pi / 4], ids=["0.01", "quarter_pi"])
+ROTATIONS = pytest.mark.parametrize(
+    "angle", [0.0, 0.01, math.pi / 4], ids=["0", "0.01", "quarter_pi"]
+)
 
 
 @ROTATIONS
 def test_rotated_example4_is_not_split_at_the_default_tolerance(workdir, capsys, angle):
-    # Rotated, the axis condition holds; the theta search's box-16 scans
-    # see p_theta go negative below 1, so no split is returned.
-    assert main(["decompose", "--input", _rotated_example4_json(workdir, angle)]) != 0
+    # Unrotated, the axis condition fails.  Rotated, it holds, but no theta
+    # below 1 passes an attained gate scan: p_theta goes negative far out.
+    assert main(["decompose", "--input", _rotated_example4_json(workdir, angle)]) == 4
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="false split: the floor lands within tol of 1 and theta is clamped to "
-    "1 - 1e-9, a value the search never tested (ROADMAP direction 2)",
-)
 @ROTATIONS
-def test_rotated_example4_is_not_split_at_a_coarser_tolerance(workdir, capsys, angle):
-    assert main(["--tol", "1e-5", "decompose", "--input", _rotated_example4_json(workdir, angle)]) != 0
+@pytest.mark.parametrize("tol", ["1e-5", "1e-4", "1e-3"])
+def test_rotated_example4_is_not_split_at_a_coarser_tolerance(workdir, capsys, angle, tol):
+    assert main(["--tol", tol, "decompose", "--input", _rotated_example4_json(workdir, angle)]) == 4
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-5", "1e-3"])
+def test_indefinite_top_form_is_not_split(workdir, capsys, tol):
+    # Along the diagonals every p_theta with theta < 1 falls below zero
+    # outside the scan's box.
+    path = _write(workdir / "diag.json", _pnd_json(indefinite_top_form_poly(), np.eye(2), np.zeros(2)))
+    assert main(["--tol", tol, "decompose", "--input", path]) == 4
+    assert "error" in json.loads(capsys.readouterr().out)
 
 
 def test_outputs_are_deterministic(workdir, example4_json):

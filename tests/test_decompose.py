@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from polynormal.decompose import (
-    PROBE_BUDGET,
     RESCALE_TOL,
     VERDICT_ELIGIBLE,
     VERDICT_FAILS_CONDITION_337,
@@ -34,6 +33,7 @@ from conftest import (
     all_multiindices,
     eligible_quartic_poly,
     example4_poly,
+    indefinite_top_form_poly,
     random_pd_matrix,
 )
 
@@ -99,7 +99,7 @@ def test_theta_floor_eligible_quartic_regression():
     assert floor == pytest.approx(0.867983, abs=1e-4)
 
 
-def reference_theta_floor(h, tol, budget=PROBE_BUDGET):
+def reference_theta_floor(h, tol, budget=SearchBudget()):
     """The bisection that scans every midpoint, with the epsilon shortcut."""
     base = from_hermite(h)
     report = epsilon_bound(base) if check_condition_337(base) else None
@@ -215,8 +215,19 @@ def test_decompose_zero_not_eligible():
 
 def test_decompose_inadmissible_theta_rejected():
     pnd = make_pnd(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0])
-    with pytest.raises(ThetaInadmissible):
+    with pytest.raises(ThetaInadmissible, match="rescaled polynomial reaches") as err:
         decompose(pnd, theta=0.5)  # below the sqrt(1/2) floor
+    assert err.value.negative and err.value.value < RESCALE_TOL
+
+
+def test_decompose_rejects_a_gate_minimum_not_attained():
+    # At theta = 0.99999 the scan is positive in the box, but its minimum
+    # sits at the box corner and the polynomial falls below zero further out.
+    pnd = make_pnd(indefinite_top_form_poly(), np.eye(2), np.zeros(2))
+    with pytest.raises(ThetaInadmissible, match="is not attained") as err:
+        decompose(pnd, theta=0.99999)
+    assert not err.value.negative and err.value.value >= RESCALE_TOL
+    assert theta_rescale(pnd.hermite, 0.99999).eval(np.array([1e4, 1e4])) < 0.0
 
 
 def test_decompose_default_theta_is_near_floor():

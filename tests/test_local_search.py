@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynormal import pnd
-from polynormal.decompose import PROBE_BUDGET
 from polynormal.pnd import SearchBudget, _local_minima, minimize_polynomial, polish_minimum
 from polynormal.polyalg import Polynomial, theta_rescale
 
@@ -154,7 +153,7 @@ def test_scan_is_no_higher_than_the_lbfgsb_scan():
             assert value <= ref + 1e-10 * max(1.0, abs(ref)), name
 
 
-SCAN_BUDGETS = [SearchBudget(), PROBE_BUDGET, FAST_BUDGET, SearchBudget(doublings=0)]
+SCAN_BUDGETS = [SearchBudget(), SearchBudget(doublings=4, grid_points=7), FAST_BUDGET, SearchBudget(doublings=0)]
 
 
 def _assert_same_scan(p, budget, name=""):
