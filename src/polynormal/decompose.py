@@ -12,9 +12,10 @@ admissible range is an interval reaching up to theta = 1, so the minimal
 admissible theta is found by bisection.  Each midpoint is decided by
 local polishes from stored witness points, where the rescaled polynomial
 went negative before; global minimum scans run only at the start and to
-confirm the end point, and a confirmation that finds a negative point
-adds it as a witness and runs the bisection again.  A split needs an
-attained, nonnegative gate scan at its theta.
+confirm the end point, and a confirmation that finds a negative point,
+or a minimum it does not attain, adds it as a witness and runs the
+bisection again.  A split needs an attained, nonnegative gate scan at its
+theta.
 
 The reported theta_floor is the minimal isotropic-whitened theta found by
 this search, not a claim about every conceivable factorization.
@@ -121,17 +122,21 @@ def theta_floor(
     inputs, so the returned value is at most any workable theta below 1.
 
     A global scan at theta = 1 - 1e-9 checks that start and gives the
-    first witness point.  A midpoint is inadmissible only when a local
+    first witness point; ``NoAdmissibleTheta`` when it is negative or its
+    minimum is not attained (the polynomial may fall below zero outside
+    the box).  A midpoint is inadmissible only when a local
     polish from a witness (inside the scan budget's box; all witnesses are
     polished together) reaches a point below the rescale tolerance; the
     first such point then replaces its witness.
     The bisection's end point is confirmed by one more global scan.  If
-    that scan finds a negative point, the point becomes a witness, every
-    theta up to the end point counts as inadmissible, and the bisection
-    runs again from the start; where polishes and scans agree, it takes
-    the midpoints of a bisection that scans every one.  So the returned
-    theta is always confirmed by a global scan, and unless the search ran
-    down to 0, a theta at most tol below it has an explicit negative point.
+    that scan finds a negative point, or a minimum it does not attain, the
+    point becomes a witness, every theta up to the end point counts as
+    inadmissible, and the bisection runs again from the start; where
+    polishes and scans agree, it takes the midpoints of a bisection that
+    scans every one.  So the returned theta is always confirmed by an
+    attained, nonnegative global scan, and unless the search ran down to 0,
+    a theta at most tol below it has an explicit negative point or a scan
+    whose minimum is not attained.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -143,6 +148,11 @@ def theta_floor(
     if scan.value < RESCALE_TOL:
         raise NoAdmissibleTheta(
             "rescaled polynomial scans negative even at theta = 1 - 1e-9"
+        )
+    if not scan.attained:
+        raise NoAdmissibleTheta(
+            f"rescaled polynomial at theta = 1 - 1e-9 scans {scan.value:.6g} at "
+            f"{scan.point}, a minimum not attained in the scan's box"
         )
     witnesses = [scan.point]
     refuted_at = 0.0  # the highest theta a global scan found inadmissible
@@ -167,7 +177,7 @@ def theta_floor(
         if hi == start:
             return hi
         scan = minimize_polynomial(theta_rescale(h, hi), budget)
-        if scan.value >= RESCALE_TOL:
+        if scan.value >= RESCALE_TOL and scan.attained:
             return hi
         witnesses.append(scan.point)
         refuted_at = hi

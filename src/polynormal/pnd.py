@@ -17,7 +17,6 @@ seeds of every round, each start in its own round's box.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import sys
@@ -39,6 +38,7 @@ from .polyalg import (
     affine_substitute,
     polynomial_from_dict,
     polynomial_to_dict,
+    tensor_grid,
     to_hermite,
 )
 
@@ -143,8 +143,7 @@ class MinimizationResult:
 def _grid_candidates(p: Polynomial, radius: float, per_axis: int, keep: int = 3):
     if p.dim > 3 or per_axis < 2:
         return []
-    axes = [np.linspace(-radius, radius, per_axis)] * p.dim
-    pts = np.array(list(itertools.product(*axes)))
+    pts = tensor_grid([np.linspace(-radius, radius, per_axis)] * p.dim)
     vals = p.eval_many(pts)
     order = np.argsort(vals)[:keep]
     return [pts[i] for i in order]
@@ -177,7 +176,12 @@ def _local_minima(p: Polynomial, starts, radius):
     eigenvalue replaced by its magnitude, floored so that no eigencomponent
     of the step is longer than the box's diameter (no inf or NaN on flat or
     linear pieces).  The step, projected onto the box, is halved until it
-    gives an Armijo decrease.  A start stops when its projected gradient is
+    gives an Armijo decrease.  The step lengths 2**-k are tested in blocks
+    of doubling width, k in {0}, {1, 2}, {3..6}, {7..14}, ..., with one
+    evaluation of p per block for all the starts still trying; each start
+    takes the first k of the block that passes, so the accepted step is
+    still the first halving that passes Armijo, as when the halvings are
+    tested one at a time.  A start stops when its projected gradient is
     at most _GTOL, or when the decrease the step predicts is below the
     rounding of p, or after _MAX_ITER steps -- except where the reduced
     Hessian has a negative eigenvalue: there (a saddle) it steps along that
@@ -192,29 +196,37 @@ def _local_minima(p: Polynomial, starts, radius):
     x = np.clip(x, -rad[:, None], rad[:, None])
     f, g, H, mag = p._jet(x)
     points, values = x.copy(), f.copy()
-    # The starts still searching; x, f, g, H, mag, rad, reach and halvings are theirs.
+    # The starts still searching; x, f, g, H, mag and the box arrays are theirs.
     ids = np.arange(len(x))
     reach = 2.0 * rad * math.sqrt(d)  # the box's diameter
     halvings = np.maximum(np.ceil(np.log2(reach)) + 32, _HALVINGS).astype(int)
+    alphas = np.ldexp(1.0, -np.arange(halvings.max(initial=0)))  # 0.5**k, exactly
+    squares = alphas * alphas
+    # The box's bounds, 1 / reach and the holding gap, kept until the starts shrink.
+    hi = rad[:, None]
+    lo, inv_reach, hold_gap = -hi, (1.0 / reach)[:, None], _HOLD_GAP * rad
     eye = np.eye(d)
     for _ in range(_MAX_ITER):
         if ids.size == 0:
             break
-        r = rad[:, None]
-        pg = np.abs(x - np.clip(x - g, -r, r)).max(axis=1)
-        gap = r - np.abs(x)
-        held = (gap <= np.minimum(_HOLD_GAP * rad, pg)[:, None]) & (x * g < 0.0)
+        pg = np.abs(x - np.clip(x - g, lo, hi)).max(axis=1)
+        gap = hi - np.abs(x)
+        held = (gap <= np.minimum(hold_gap, pg)[:, None]) & (x * g < 0.0)
         free, gf, Hf, snap = ~held, g, H, 0.0
-        if held.any():
+        any_held = held.any()
+        if any_held:
             gf = g * free
             Hf = H * (free[:, :, None] & free[:, None, :]) + eye * held[:, None, :]
             # First-order decrease of moving the held coordinates onto their bounds.
             snap = np.einsum("mi,mi->m", np.abs(g) * held, gap)
         w, V = np.linalg.eigh(Hf)
         c = np.einsum("mij,mi->mj", V, gf)
-        curv = np.maximum(np.maximum(np.abs(w), np.abs(c) * (1.0 / reach)[:, None]), _TINY)
-        step = np.einsum("mij,mj->mi", V, c / -curv) * free + np.copysign(reach[:, None], x) * held
-        gain = np.einsum("mj,mj->m", c, c / curv)  # -g.step on the free coordinates
+        curv = np.maximum(np.maximum(np.abs(w), np.abs(c) * inv_reach), _TINY)
+        q = c / curv
+        step = np.einsum("mij,mj->mi", V, -q)
+        if any_held:
+            step = step * free + np.copysign(reach[:, None], x) * held
+        gain = np.einsum("mj,mj->m", c, q)  # -g.step on the free coordinates
         err = (4.0 * _EPS) * mag
         settled = (pg <= _GTOL) | (0.5 * gain + snap <= err)
         # Where settled with negative curvature, step along the eigenvector
@@ -222,7 +234,8 @@ def _local_minima(p: Polynomial, starts, radius):
         # the decrease must beat rounding.
         turn = settled & (w[:, 0] < 0.0)
         bend = floor = 0.0
-        if turn.any():
+        any_turn = turn.any()
+        if any_turn:
             v = V[turn, :, 0] * free[turn]
             slope, outward = np.einsum("mi,mi->m", gf[turn], v), np.einsum("mi,mi->m", x[turn], v)
             up = (slope > 0.0) | ((slope == 0.0) & (outward > 0.0))
@@ -230,28 +243,42 @@ def _local_minima(p: Polynomial, starts, radius):
             gain[turn] = np.abs(np.einsum("mi,mi->m", gf[turn], step[turn]))
             bend = np.where(turn, -0.5 * reach**2 * w[:, 0], 0.0)
             floor = np.where(turn, err, 0.0)
-        trying = np.flatnonzero(~settled | turn)
-        done = np.ones(ids.size, dtype=bool)  # all but the starts that step
-        alpha = 1.0
-        for k in range(halvings.max()):
-            if k >= _HALVINGS:  # only starts in the widest boxes halve further
-                trying = trying[halvings[trying] > k]
-            if trying.size == 0:
-                break
-            need = _ARMIJO * (alpha * gain + alpha * alpha * bend + snap) + floor
-            trial = np.clip(x[trying] + alpha * step[trying], -r[trying], r[trying])
+        trying = (~settled | turn).nonzero()[0]
+        stepped = np.zeros(ids.size, dtype=bool)
+        first = 0
+        while trying.size:
+            # Halvings first .. 2 * first; past _HALVINGS, each start stops at its own cap.
+            last, cap = 2 * first + 1, None
+            if last > _HALVINGS:
+                cap = halvings[trying]
+                last = min(last, cap.max())
+            alpha = alphas[first:last]
+            trial = np.clip(
+                x[trying, None] + alpha[:, None] * step[trying, None], lo[trying, None], hi[trying, None]
+            ).reshape(-1, d)
             ft, gt, Ht, mt = p._jet(trial)
-            ok = ft <= f[trying] - need[trying]
-            i = trying[ok]
-            x[i], f[i], g[i], H[i], mag[i] = trial[ok], ft[ok], gt[ok], Ht[ok], mt[ok]
-            done[i] = False
-            trying = trying[~ok]
-            alpha *= 0.5
-        if done.any():
+            need = _ARMIJO * (
+                alpha * gain[trying, None]
+                + squares[first:last] * (bend[trying, None] if any_turn else bend)
+                + (snap[trying, None] if any_held else snap)
+            ) + (floor[trying, None] if any_turn else floor)
+            passed = ft.reshape(trying.size, -1) <= f[trying, None] - need
+            if cap is not None:
+                passed &= np.arange(first, last) < cap[:, None]
+            hit = passed.any(axis=1)
+            sel = hit.nonzero()[0]
+            pos = sel * (last - first) + passed.argmax(axis=1)[sel]  # each start's first pass
+            i = trying[sel]
+            x[i], f[i], g[i], H[i], mag[i] = trial[pos], ft[pos], gt[pos], Ht[pos], mt[pos]
+            stepped[i] = True
+            first = last
+            trying = trying[~hit if cap is None else ~hit & (cap > last)]
+        if not stepped.all():
+            done = ~stepped
             points[ids[done]], values[ids[done]] = x[done], f[done]
-            keep = ~done
-            ids, x, f, g, H, mag = ids[keep], x[keep], f[keep], g[keep], H[keep], mag[keep]
-            rad, reach, halvings = rad[keep], reach[keep], halvings[keep]
+            ids, x, f, g, H, mag = ids[stepped], x[stepped], f[stepped], g[stepped], H[stepped], mag[stepped]
+            reach, halvings, hi, lo = reach[stepped], halvings[stepped], hi[stepped], lo[stepped]
+            inv_reach, hold_gap = inv_reach[stepped], hold_gap[stepped]
     points[ids], values[ids] = x, f
     return points, values
 
@@ -394,8 +421,8 @@ def gauss_hermite_nodes(dim: int, n: int):
     """Tensorized probabilists' Gauss-Hermite rule for E over N(0, I_dim)."""
     x, w = hermite_e.hermegauss(n)
     w = w / math.sqrt(2.0 * math.pi)
-    pts = np.array(list(itertools.product(*([x] * dim))))
-    wts = np.prod(np.array(list(itertools.product(*([w] * dim)))), axis=1)
+    pts = tensor_grid([x] * dim)
+    wts = np.prod(tensor_grid([w] * dim), axis=1)
     return pts, wts
 
 

@@ -132,6 +132,16 @@ def grlex_key(alpha: MultiIndex):
     return (sum(alpha), alpha)
 
 
+def tensor_grid(axes) -> np.ndarray:
+    """Every point of the tensor grid of the 1-D arrays ``axes``, as rows in
+    ``itertools.product`` order (the last coordinate varies fastest)."""
+    d = len(axes)
+    pts = np.empty(tuple(len(a) for a in axes) + (d,))
+    for j, a in enumerate(axes):
+        pts[..., j] = np.reshape(a, (-1,) + (1,) * (d - 1 - j))
+    return pts.reshape(-1, d)
+
+
 class _Expansion:
     """What Polynomial and HermiteCoeffs share; ``_map`` is the coefficient map."""
 

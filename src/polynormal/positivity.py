@@ -22,14 +22,13 @@ positivity directly where it matters.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditionFailed
-from .polyalg import Polynomial
+from .polyalg import Polynomial, tensor_grid
 
 # Leading coefficients at or below this are treated as zero.
 LEADING_COEFF_TOL = 1e-12
@@ -118,8 +117,7 @@ def _ratio_min_on_ball(p: Polynomial, radius: float, two_m: int) -> float:
     best_pt = center
     prev = math.inf
     for _ in range(60):
-        axes = [np.linspace(c - half, c + half, per_axis) for c in center]
-        pts = np.array(list(itertools.product(*axes)))
+        pts = tensor_grid([np.linspace(c - half, c + half, per_axis) for c in center])
         mask = np.sum(np.abs(pts), axis=1) <= radius + 1e-12
         if mask.any():
             pts = pts[mask]

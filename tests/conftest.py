@@ -76,6 +76,13 @@ def substitution_calls(monkeypatch):
     return calls
 
 
+def valley_poly(power: int, c: float, w: float, e: float) -> Polynomial:
+    """(x1 x2^power - c)^2 + w x2^2 + e, expanded: example 4 is (1, 1, 1, 0)."""
+    return Polynomial.from_terms(
+        2, {(2, 2 * power): 1.0, (1, power): -2.0 * c, (0, 0): c * c + e, (0, 2): w}
+    )
+
+
 def eligible_quartic_poly() -> Polynomial:
     """x1^4 + x2^4 + x1^2 x2^2 + 1."""
     return Polynomial.from_terms(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 1.0, (0, 0): 1.0})

@@ -8,6 +8,9 @@ reference for the batched local searches of ``polynormal.pnd``
 (``test_local_search.py``), and so is the scan that searched its rounds one
 after another, one batch of local searches per round, as the reference for
 ``pnd.minimize_polynomial``, which searches every round's seeds at once.
+The batched local searches that evaluated one step halving at a time are
+kept as the bit-exact reference for ``pnd._local_minima``, which tests the
+halvings in blocks of doubling width.
 The recursive Horner substitution, one coefficient slice at a time, is kept as
 the bit-exact reference for ``polyalg.affine_substitute``, which substitutes
 every slice of a variable at once.  The biquadratic factor probe whose
@@ -24,7 +27,19 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.optimize import minimize as scipy_minimize
 
-from polynormal.pnd import MinimizationResult, SearchBudget, _grid_candidates, _local_minima
+from polynormal.pnd import (
+    _ARMIJO,
+    _EPS,
+    _GTOL,
+    _HALVINGS,
+    _HOLD_GAP,
+    _MAX_ITER,
+    _TINY,
+    MinimizationResult,
+    SearchBudget,
+    _grid_candidates,
+    _local_minima,
+)
 from polynormal.polyalg import HermiteCoeffs, Polynomial
 from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _quadratic_from_vector
 
@@ -216,6 +231,101 @@ def lbfgsb_ref(p: Polynomial, start, radius: float):
         options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
     )
     return np.asarray(res.x), float(res.fun)
+
+
+# The batched local searches with one evaluation per step halving: the
+# Armijo ladder that ``pnd._local_minima`` now tests in doubling blocks.
+def local_minima_ref(p: Polynomial, starts, radius):
+    """Local minima (points (n, d), values (n,)) of p from each of n starts,
+    all searched at once, each inside its box [-r, r]^d, where r is
+    ``radius``: one half-width for every start, or an (n,) array of one per
+    start.
+
+    Projected Newton (Bertsekas, SIAM J. Control Optim. 1982).  Coordinates
+    that the gradient pushes out of the box and that lie within
+    min(_HOLD_GAP * r, projected gradient) of a bound are held: they step
+    onto the bound.  On the others the step is Newton's with each Hessian
+    eigenvalue replaced by its magnitude, floored so that no eigencomponent
+    of the step is longer than the box's diameter (no inf or NaN on flat or
+    linear pieces).  The step, projected onto the box, is halved until it
+    gives an Armijo decrease.  A start stops when its projected gradient is
+    at most _GTOL, or when the decrease the step predicts is below the
+    rounding of p, or after _MAX_ITER steps -- except where the reduced
+    Hessian has a negative eigenvalue: there (a saddle) it steps along that
+    eigenvector and stops only when no such step lowers p past rounding.  A
+    start's iterates do not depend on the other starts or their boxes, so
+    its result is bit for bit that of a call with it alone; no value
+    returned is above that at the start (clipped into its box).
+    """
+    d = p.dim
+    x = np.asarray(starts, dtype=float).reshape(-1, d)
+    rad = np.full(len(x), radius, dtype=float)
+    x = np.clip(x, -rad[:, None], rad[:, None])
+    f, g, H, mag = p._jet(x)
+    points, values = x.copy(), f.copy()
+    # The starts still searching; x, f, g, H, mag, rad, reach and halvings are theirs.
+    ids = np.arange(len(x))
+    reach = 2.0 * rad * math.sqrt(d)  # the box's diameter
+    halvings = np.maximum(np.ceil(np.log2(reach)) + 32, _HALVINGS).astype(int)
+    eye = np.eye(d)
+    for _ in range(_MAX_ITER):
+        if ids.size == 0:
+            break
+        r = rad[:, None]
+        pg = np.abs(x - np.clip(x - g, -r, r)).max(axis=1)
+        gap = r - np.abs(x)
+        held = (gap <= np.minimum(_HOLD_GAP * rad, pg)[:, None]) & (x * g < 0.0)
+        free, gf, Hf, snap = ~held, g, H, 0.0
+        if held.any():
+            gf = g * free
+            Hf = H * (free[:, :, None] & free[:, None, :]) + eye * held[:, None, :]
+            # First-order decrease of moving the held coordinates onto their bounds.
+            snap = np.einsum("mi,mi->m", np.abs(g) * held, gap)
+        w, V = np.linalg.eigh(Hf)
+        c = np.einsum("mij,mi->mj", V, gf)
+        curv = np.maximum(np.maximum(np.abs(w), np.abs(c) * (1.0 / reach)[:, None]), _TINY)
+        step = np.einsum("mij,mj->mi", V, c / -curv) * free + np.copysign(reach[:, None], x) * held
+        gain = np.einsum("mj,mj->m", c, c / curv)  # -g.step on the free coordinates
+        err = (4.0 * _EPS) * mag
+        settled = (pg <= _GTOL) | (0.5 * gain + snap <= err)
+        # Where settled with negative curvature, step along the eigenvector
+        # (downhill, or into the box where level) as far as the box allows;
+        # the decrease must beat rounding.
+        turn = settled & (w[:, 0] < 0.0)
+        bend = floor = 0.0
+        if turn.any():
+            v = V[turn, :, 0] * free[turn]
+            slope, outward = np.einsum("mi,mi->m", gf[turn], v), np.einsum("mi,mi->m", x[turn], v)
+            up = (slope > 0.0) | ((slope == 0.0) & (outward > 0.0))
+            step[turn] = np.where(up, -reach[turn], reach[turn])[:, None] * v
+            gain[turn] = np.abs(np.einsum("mi,mi->m", gf[turn], step[turn]))
+            bend = np.where(turn, -0.5 * reach**2 * w[:, 0], 0.0)
+            floor = np.where(turn, err, 0.0)
+        trying = np.flatnonzero(~settled | turn)
+        done = np.ones(ids.size, dtype=bool)  # all but the starts that step
+        alpha = 1.0
+        for k in range(halvings.max()):
+            if k >= _HALVINGS:  # only starts in the widest boxes halve further
+                trying = trying[halvings[trying] > k]
+            if trying.size == 0:
+                break
+            need = _ARMIJO * (alpha * gain + alpha * alpha * bend + snap) + floor
+            trial = np.clip(x[trying] + alpha * step[trying], -r[trying], r[trying])
+            ft, gt, Ht, mt = p._jet(trial)
+            ok = ft <= f[trying] - need[trying]
+            i = trying[ok]
+            x[i], f[i], g[i], H[i], mag[i] = trial[ok], ft[ok], gt[ok], Ht[ok], mt[ok]
+            done[i] = False
+            trying = trying[~ok]
+            alpha *= 0.5
+        if done.any():
+            points[ids[done]], values[ids[done]] = x[done], f[done]
+            keep = ~done
+            ids, x, f, g, H, mag = ids[keep], x[keep], f[keep], g[keep], H[keep], mag[keep]
+            rad, reach, halvings = rad[keep], reach[keep], halvings[keep]
+    points[ids], values[ids] = x, f
+    return points, values
+
 
 
 def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:

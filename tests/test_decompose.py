@@ -1,5 +1,6 @@
 """Precheck, theta search, and the Gaussian-factor split."""
 
+import importlib
 import math
 import sys
 
@@ -17,7 +18,7 @@ from polynormal.decompose import (
     theta_floor,
 )
 from polynormal.errors import NoAdmissibleTheta, NotEligible, ThetaInadmissible
-from polynormal.pnd import SearchBudget, make_pnd, minimize_polynomial
+from polynormal.pnd import MinimizationResult, SearchBudget, make_pnd, minimize_polynomial
 from polynormal.polyalg import (
     HermiteCoeffs,
     Polynomial,
@@ -170,6 +171,42 @@ def test_theta_floor_rejects_nonpositive_input():
     h = to_hermite(Polynomial.from_terms(1, {(2,): 1.0}))
     with pytest.raises(NoAdmissibleTheta):
         theta_floor(h, tol=1e-4)
+
+
+def test_theta_floor_rejects_a_start_scan_not_attained():
+    # (x1^2 - x2^2)^2 + 1 is positive, but every p_theta with theta < 1
+    # falls below zero along the diagonals outside the scan's box; at
+    # 1 - 1e-9 the scan's minimum sits at a corner of the box.
+    h = make_pnd(indefinite_top_form_poly(), np.eye(2), np.zeros(2)).hermite
+    scan = minimize_polynomial(theta_rescale(h, 1.0 - 1e-9), SearchBudget())
+    assert scan.value >= RESCALE_TOL and not scan.attained
+    with pytest.raises(NoAdmissibleTheta, match="not attained") as err:
+        theta_floor(h, tol=1e-6)
+    assert f"{scan.value:.6g}" in str(err.value) and str(scan.point) in str(err.value)
+
+
+def test_theta_floor_replays_after_a_confirmation_not_attained(monkeypatch):
+    # The first confirmation scan is made to report a nonnegative minimum it
+    # does not attain: that refutes its theta like a negative scan, and the
+    # replayed bisection ends at most tol above it, confirmed by a third scan.
+    module = importlib.import_module("polynormal.decompose")
+    scans = []
+
+    def unattained_once(p, budget=None):
+        result = minimize_polynomial(p, budget)
+        scans.append(result)
+        if len(scans) == 2:
+            return MinimizationResult(result.point, result.value, attained=False)
+        return result
+
+    monkeypatch.setattr(module, "minimize_polynomial", unattained_once)
+    h = HermiteCoeffs.from_coeffs(1, {(2,): 0.5, (0,): 1.0})  # floor sqrt(1/2)
+    tol = 1e-6
+    replayed = theta_floor(h, tol)
+    assert len(scans) == 3
+    monkeypatch.undo()
+    floor = theta_floor(h, tol)
+    assert floor < replayed <= floor + 2 * tol
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])

@@ -6,6 +6,9 @@ in the box, no value is above the start's, every result is stationary in
 the box up to the square root of rounding (where Newton's predicted
 decrease falls below rounding), and a start's result is bit for bit its
 result alone, whatever the other starts of its batch and their boxes.
+The halvings of the Armijo line search are tested in blocks, one
+evaluation per block, and must give exactly the points and values of the
+search that evaluates one halving at a time (``polyref``).
 ``pnd.minimize_polynomial`` is one such call on every round's seeds, so it
 must equal the scan that searches its rounds one after another
 (``polyref``) exactly, and it must go no higher than the scan with one scipy
@@ -24,8 +27,8 @@ from polynormal import pnd
 from polynormal.pnd import SearchBudget, _local_minima, minimize_polynomial, polish_minimum
 from polynormal.polyalg import Polynomial, theta_rescale
 
-from conftest import FAST_BUDGET, eligible_quartic_poly, example4_poly, polynomials
-from polyref import minimize_polynomial_ref, minimize_polynomial_rounds_ref
+from conftest import FAST_BUDGET, eligible_quartic_poly, example4_poly, polynomials, valley_poly
+from polyref import local_minima_ref, minimize_polynomial_ref, minimize_polynomial_rounds_ref
 from test_decompose import _reference_cases
 
 FAST = settings(max_examples=40, deadline=None)
@@ -65,6 +68,13 @@ def _assert_each_start_alone(p, starts, radii, pts, vals):
         assert one_pt.tobytes() == pt.tobytes()
 
 
+def _assert_same_as_one_halving_at_a_time(p, starts, radius):
+    pts, vals = _local_minima(p, starts, radius)
+    ref_pts, ref_vals = local_minima_ref(p, starts, radius)
+    assert np.array_equal(pts, ref_pts) and pts.tobytes() == ref_pts.tobytes()
+    assert np.array_equal(vals, ref_vals) and vals.tobytes() == ref_vals.tobytes()
+
+
 @FAST
 @given(polynomials(), st.sampled_from([0.5, 1.0, 4.0]))
 def test_each_start_gives_its_single_start_result_in_a_batch(case, radius):
@@ -84,6 +94,8 @@ def test_each_start_in_its_own_box_gives_its_single_start_result(case):
     pts, vals = _local_minima(p, starts, radii)
     assert np.all(np.abs(pts) <= radii[:, None])
     _assert_each_start_alone(p, starts, radii, pts, vals)
+    order = rng.permutation(len(starts))  # boxes mixed within the batch
+    _assert_same_as_one_halving_at_a_time(p, starts[order], radii[order])
 
 
 def test_saddle_at_the_start_is_left_downhill():
@@ -94,6 +106,7 @@ def test_saddle_at_the_start_is_left_downhill():
         pts, vals = _local_minima(p, np.zeros((1, 2)), radius)
         assert vals[0] < 0.0
         assert vals[0] == pytest.approx(-0.25, abs=1e-12)
+        _assert_same_as_one_halving_at_a_time(p, np.zeros((1, 2)), radius)
     pts, vals = polish_minimum(p, np.zeros((1, 2)), FAST_BUDGET)
     assert vals[0] < 0.0
 
@@ -107,6 +120,7 @@ def test_saddle_at_the_start_is_left_in_a_wide_box(doublings):
     p = Polynomial.from_terms(2, {(8, 0): 1.0, (0, 8): 1.0, (1, 1): -1.0})
     _, vals = polish_minimum(p, np.zeros((1, 2)), SearchBudget(doublings=doublings))
     assert vals[0] == pytest.approx(-0.375, abs=1e-12)
+    _assert_same_as_one_halving_at_a_time(p, np.zeros((1, 2)), 2.0**doublings)
 
 
 @pytest.mark.parametrize("corner", [1.0, -1.0])
@@ -116,6 +130,7 @@ def test_level_start_on_a_bound_with_negative_curvature_moves_into_the_box(corne
     p = Polynomial.from_terms(1, {(2,): -1.0, (1,): 2.0 * corner, (0,): -1.0})
     pts, vals = _local_minima(p, np.array([[corner]]), 1.0)
     assert pts[0, 0] == -corner and vals[0] == pytest.approx(-4.0)
+    _assert_same_as_one_halving_at_a_time(p, np.array([[corner]]), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -132,6 +147,7 @@ def test_flat_and_linear_pieces_give_finite_points(terms):
     assert np.all(vals <= p.eval_many(starts))
     if terms == {(1, 0): 1.0, (0, 1): -2.0}:
         assert np.allclose(pts, [-3.0, 3.0]) and np.allclose(vals, -9.0)
+    _assert_same_as_one_halving_at_a_time(p, starts, 3.0)
 
 
 def _regression_polynomials():
@@ -199,3 +215,61 @@ def test_a_scan_searches_every_rounds_seeds_in_its_first_call(monkeypatch, p):
     rows, call_radii = calls[0]
     assert rows == (budget.doublings + 1) * per_round
     assert np.array_equal(call_radii, np.repeat(radii, per_round))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("radius", [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+def test_halving_blocks_equal_one_halving_at_a_time_in_a_valley(power, radius):
+    # (x1 x2^k - c)^2 + w x2^2 + e: the infimum e lies at infinity along a
+    # curved valley, which long ladders of halvings walk out to the box edge.
+    rng = np.random.default_rng(power * 100 + int(radius))
+    for c, w, e in [(1.0, 1.0, 0.0), (0.5, 0.1, 1.0), (2.0, 1.0, 1e-3)]:
+        _assert_same_as_one_halving_at_a_time(valley_poly(power, c, w, e), _starts(rng, 2, radius), radius)
+
+
+def test_halving_blocks_stop_at_each_starts_own_cap(monkeypatch):
+    # At d = 2 and half-width 2**10 the box's diameter is about 2896, so a
+    # start halves at most ceil(log2(2896)) + 32 = 44 times, past the 40 of
+    # smaller boxes.  A ladder that reaches the block of halvings 31..62
+    # evaluates only 31..43 there: 13 points for a start searched alone.
+    p, radius = valley_poly(2, 1.0, 1.0, 0.0), 2.0**10
+    starts = np.random.default_rng(5).uniform(-radius, radius, size=(20, 2))
+    _assert_same_as_one_halving_at_a_time(p, starts, radius)
+    sizes = []
+    original = Polynomial._jet
+
+    def recording(q, pts):
+        sizes.append(len(pts))
+        return original(q, pts)
+
+    monkeypatch.setattr(Polynomial, "_jet", recording)
+    for start in starts:
+        _local_minima(p, start[None, :], radius)
+    assert 13 in sizes and max(sizes) <= 16
+    # 2**115 t^4 - t from t = 0: the step is the box's diameter, and only
+    # halvings k >= 40 pass.  In the box [-1, 1] the cap is 40 halvings, so
+    # the start stays at 0, even while a start in a box of half-width 2**10
+    # (cap 43) tests halvings 31..42 in the same evaluation.
+    quartic = Polynomial.from_terms(1, {(4,): 2.0**115, (1,): -1.0})
+    pts, vals = _local_minima(quartic, np.zeros((2, 1)), np.array([1.0, 2.0**10]))
+    assert np.array_equal(pts, np.zeros((2, 1))) and np.array_equal(vals, np.zeros(2))
+    _assert_same_as_one_halving_at_a_time(quartic, np.zeros((2, 1)), np.array([1.0, 2.0**10]))
+
+
+@pytest.mark.parametrize(
+    "p, most",
+    [(example4_poly(), 136), (valley_poly(2, 1.0, 1.0, 0.0), 236)],
+    ids=["example 4", "x1 x2^2 valley"],
+)
+def test_a_valley_scan_makes_at_most_half_the_evaluations_of_one_halving_at_a_time(monkeypatch, p, most):
+    # One evaluation per halving made 272 and 473 evaluations in these scans.
+    calls = []
+    original = Polynomial._jet
+
+    def counting(q, pts):
+        calls.append(len(pts))
+        return original(q, pts)
+
+    monkeypatch.setattr(Polynomial, "_jet", counting)
+    minimize_polynomial(p, SearchBudget())
+    assert len(calls) <= most

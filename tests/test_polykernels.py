@@ -8,9 +8,12 @@ substitution) and
 ``charfn.real_imag_parts`` only moves signs, so it must match exactly.
 Evaluation points lie in [-1, 1]^d, where that scale bounds every value.
 Affine substitution must also match the recursive Horner substitution of
-``polyref`` to the bit, for d = 1..4.
+``polyref`` to the bit, for d = 1..4.  The tensor grids of the scans, the
+infimum estimate and the quadrature must be the ``itertools.product`` grids
+to the bit.
 """
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -27,9 +30,11 @@ from polynormal.polyalg import (
     _wrap,
     affine_substitute,
     from_hermite,
+    tensor_grid,
     theta_rescale,
     to_hermite,
 )
+from polynormal.pnd import gauss_hermite_nodes
 
 from conftest import all_multiindices, polynomials
 from polyref import (
@@ -249,3 +254,20 @@ def test_non_finite_coefficient_is_rejected(coef):
         Polynomial.from_terms(1, {(2,): 1.0, (0,): coef})
     with pytest.raises(ValueError, match="not finite"):
         HermiteCoeffs.from_coeffs(1, {(0,): coef})
+
+
+@pytest.mark.parametrize("lengths", [(5,), (21, 21), (11, 11, 11), (3, 1, 4), (2, 3, 2, 2)])
+def test_tensor_grid_is_the_product_grid(lengths):
+    rng = np.random.default_rng(len(lengths))
+    axes = [np.sort(rng.uniform(-2.0, 2.0, size=n)) for n in lengths]
+    ref = np.array(list(itertools.product(*axes)))
+    assert tensor_grid(axes).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gauss_hermite_weights_multiply_in_axis_order(dim):
+    pts, wts = gauss_hermite_nodes(dim, 6)
+    x, w = np.polynomial.hermite_e.hermegauss(6)
+    w = w / np.sqrt(2.0 * np.pi)
+    assert pts.tobytes() == np.array(list(itertools.product(*([x] * dim)))).tobytes()
+    assert wts.tobytes() == np.prod(np.array(list(itertools.product(*([w] * dim)))), axis=1).tobytes()
