@@ -116,7 +116,8 @@ class SearchBudget:
     box-constrained Newton searches; the seeds of all rounds are searched
     in one batch.  Deterministic for a fixed seed.  A malformed field is a
     ValueError naming it; so is, at scan time, a ``doublings`` whose last
-    box is too wide for the polynomial's degree (see ``_last_radius``).
+    box is too wide for the polynomial's degree and dimension (see
+    ``_last_radius``).
     """
 
     doublings: int = 6
@@ -163,6 +164,11 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
+def _clip(a, lo, hi):
+    """``np.clip(a, lo, hi)`` for finite a and bounds lo < hi, in two ufunc calls."""
+    return np.minimum(np.maximum(a, lo), hi)
+
+
 def _local_minima(p: Polynomial, starts, radius):
     """Local minima (points (n, d), values (n,)) of p from each of n starts,
     all searched at once, each inside its box [-r, r]^d, where r is
@@ -175,25 +181,29 @@ def _local_minima(p: Polynomial, starts, radius):
     onto the bound.  On the others the step is Newton's with each Hessian
     eigenvalue replaced by its magnitude, floored so that no eigencomponent
     of the step is longer than the box's diameter (no inf or NaN on flat or
-    linear pieces).  The step, projected onto the box, is halved until it
-    gives an Armijo decrease.  The step lengths 2**-k are tested in blocks
-    of doubling width, k in {0}, {1, 2}, {3..6}, {7..14}, ..., with one
-    evaluation of p per block for all the starts still trying; each start
-    takes the first k of the block that passes, so the accepted step is
-    still the first halving that passes Armijo, as when the halvings are
-    tested one at a time.  A start stops when its projected gradient is
-    at most _GTOL, or when the decrease the step predicts is below the
-    rounding of p, or after _MAX_ITER steps -- except where the reduced
-    Hessian has a negative eigenvalue: there (a saddle) it steps along that
-    eigenvector and stops only when no such step lowers p past rounding.  A
-    start's iterates do not depend on the other starts or their boxes, so
-    its result is bit for bit that of a call with it alone; no value
-    returned is above that at the start (clipped into its box).
+    linear pieces); in one dimension the Hessian is its own eigenvalue, with
+    eigenvector 1, and no eigensolver is called.  The step, projected onto
+    the box, is halved until it gives an Armijo decrease.  When every start
+    still searching tries a step, the full step is tested for all of them
+    at once, and where all pass it is taken with no selection of starts.
+    The step lengths 2**-k not yet tested are tested in blocks of doubling
+    width, k in {0}, {1, 2}, {3..6}, {7..14}, ..., with one evaluation of p
+    per block for all the starts still trying; each start takes the first
+    k of the block that passes, so the accepted step is still the first
+    halving that passes Armijo, as when the halvings are tested one at a
+    time.  A start stops when its projected gradient is at most _GTOL, or
+    when the decrease the step predicts is below the rounding of p, or
+    after _MAX_ITER steps -- except where the reduced Hessian has a
+    negative eigenvalue: there (a saddle) it steps along that eigenvector
+    and stops only when no such step lowers p past rounding.  A start's
+    iterates do not depend on the other starts or their boxes, so its
+    result is bit for bit that of a call with it alone; no value returned
+    is above that at the start (clipped into its box).
     """
     d = p.dim
     x = np.asarray(starts, dtype=float).reshape(-1, d)
     rad = np.full(len(x), radius, dtype=float)
-    x = np.clip(x, -rad[:, None], rad[:, None])
+    x = _clip(x, -rad[:, None], rad[:, None])
     f, g, H, mag = p._jet(x)
     points, values = x.copy(), f.copy()
     # The starts still searching; x, f, g, H, mag and the box arrays are theirs.
@@ -209,7 +219,7 @@ def _local_minima(p: Polynomial, starts, radius):
     for _ in range(_MAX_ITER):
         if ids.size == 0:
             break
-        pg = np.abs(x - np.clip(x - g, lo, hi)).max(axis=1)
+        pg = np.abs(x - _clip(x - g, lo, hi)).max(axis=1)
         gap = hi - np.abs(x)
         held = (gap <= np.minimum(hold_gap, pg)[:, None]) & (x * g < 0.0)
         free, gf, Hf, snap = ~held, g, H, 0.0
@@ -219,14 +229,20 @@ def _local_minima(p: Polynomial, starts, radius):
             Hf = H * (free[:, :, None] & free[:, None, :]) + eye * held[:, None, :]
             # First-order decrease of moving the held coordinates onto their bounds.
             snap = np.einsum("mi,mi->m", np.abs(g) * held, gap)
-        w, V = np.linalg.eigh(Hf)
-        c = np.einsum("mij,mi->mj", V, gf)
+        if d == 1:  # the eigenvalue is Hf itself and the eigenvector 1, exactly
+            w, c = Hf[:, :, 0], gf
+        else:
+            w, V = np.linalg.eigh(Hf)
+            c = np.einsum("mij,mi->mj", V, gf)
         curv = np.maximum(np.maximum(np.abs(w), np.abs(c) * inv_reach), _TINY)
         q = c / curv
-        step = np.einsum("mij,mj->mi", V, -q)
+        if d == 1:
+            step, gain = -q, (c * q)[:, 0]
+        else:
+            step = np.einsum("mij,mj->mi", V, -q)
+            gain = np.einsum("mj,mj->m", c, q)  # -g.step on the free coordinates
         if any_held:
             step = step * free + np.copysign(reach[:, None], x) * held
-        gain = np.einsum("mj,mj->m", c, q)  # -g.step on the free coordinates
         err = (4.0 * _EPS) * mag
         settled = (pg <= _GTOL) | (0.5 * gain + snap <= err)
         # Where settled with negative curvature, step along the eigenvector
@@ -236,16 +252,28 @@ def _local_minima(p: Polynomial, starts, radius):
         bend = floor = 0.0
         any_turn = turn.any()
         if any_turn:
-            v = V[turn, :, 0] * free[turn]
+            v = free[turn] * 1.0 if d == 1 else V[turn, :, 0] * free[turn]
             slope, outward = np.einsum("mi,mi->m", gf[turn], v), np.einsum("mi,mi->m", x[turn], v)
             up = (slope > 0.0) | ((slope == 0.0) & (outward > 0.0))
             step[turn] = np.where(up, -reach[turn], reach[turn])[:, None] * v
             gain[turn] = np.abs(np.einsum("mi,mi->m", gf[turn], step[turn]))
             bend = np.where(turn, -0.5 * reach**2 * w[:, 0], 0.0)
             floor = np.where(turn, err, 0.0)
-        trying = (~settled | turn).nonzero()[0]
-        stepped = np.zeros(ids.size, dtype=bool)
-        first = 0
+        trying = ~settled | turn
+        if trying.all():
+            # The full step for every start: the block k = 0, with alpha = 1 left out.
+            trial = _clip(x + step, lo, hi)
+            ft, gt, Ht, mt = p._jet(trial)
+            stepped = ft <= f - (_ARMIJO * (gain + bend + snap) + floor)
+            if stepped.all():
+                x, f, g, H, mag = trial, ft, gt, Ht, mt
+                continue
+            x[stepped], f[stepped], g[stepped], H[stepped], mag[stepped] = (
+                trial[stepped], ft[stepped], gt[stepped], Ht[stepped], mt[stepped]
+            )
+            trying, first = (~stepped).nonzero()[0], 1
+        else:
+            trying, stepped, first = trying.nonzero()[0], np.zeros(ids.size, dtype=bool), 0
         while trying.size:
             # Halvings first .. 2 * first; past _HALVINGS, each start stops at its own cap.
             last, cap = 2 * first + 1, None
@@ -253,7 +281,7 @@ def _local_minima(p: Polynomial, starts, radius):
                 cap = halvings[trying]
                 last = min(last, cap.max())
             alpha = alphas[first:last]
-            trial = np.clip(
+            trial = _clip(
                 x[trying, None] + alpha[:, None] * step[trying, None], lo[trying, None], hi[trying, None]
             ).reshape(-1, d)
             ft, gt, Ht, mt = p._jet(trial)
@@ -284,17 +312,29 @@ def _local_minima(p: Polynomial, starts, radius):
 
 
 def _last_radius(p: Polynomial, budget: SearchBudget) -> float:
-    """Half-width 2**doublings of the budget's last box.
+    """Half-width r = 2**doublings of the budget's last box.
 
-    A ValueError when its degree-th power overflows: the monomials of p
-    at the box's corners would then evaluate to inf.
+    A ValueError when r**degree overflows (the monomials of p at the box's
+    corners would evaluate to inf), or when the box's diameter 2 r sqrt(d)
+    does (the local search's longest step), or, for degree >= 2, its square
+    (the curvature term of a step along negative curvature).
     """
-    if budget.doublings * max(p.degree, 1) >= sys.float_info.max_exp:
+    doublings, degree = budget.doublings, max(p.degree, 1)
+    if doublings * degree >= sys.float_info.max_exp:
         raise ValueError(
-            f"SearchBudget.doublings={budget.doublings} is too large for a polynomial of "
-            f"degree {p.degree}: (2**{budget.doublings})**{max(p.degree, 1)} overflows"
+            f"SearchBudget.doublings={doublings} is too large for a polynomial of "
+            f"degree {p.degree}: (2**{doublings})**{degree} overflows"
         )
-    return 2.0**budget.doublings
+    radius = 2.0**doublings
+    reach = 2.0 * radius * math.sqrt(p.dim)
+    if not math.isfinite(reach if degree == 1 else reach * reach):
+        power = "" if degree == 1 else " squared"
+        raise ValueError(
+            f"SearchBudget.doublings={doublings} is too large for a polynomial of "
+            f"degree {p.degree} in {p.dim} variables: the box's diameter "
+            f"2 * 2**{doublings} * sqrt({p.dim}){power} overflows"
+        )
+    return radius
 
 
 def polish_minimum(p: Polynomial, starts, budget: SearchBudget):

@@ -7,8 +7,10 @@ the box up to the square root of rounding (where Newton's predicted
 decrease falls below rounding), and a start's result is bit for bit its
 result alone, whatever the other starts of its batch and their boxes.
 The halvings of the Armijo line search are tested in blocks, one
-evaluation per block, and must give exactly the points and values of the
-search that evaluates one halving at a time (``polyref``).
+evaluation per block, after one evaluation of every full step when all
+the starts still searching try one; in one dimension the step is taken
+without an eigensolver.  All of it must give exactly the points and
+values of the search that evaluates one halving at a time (``polyref``).
 ``pnd.minimize_polynomial`` is one such call on every round's seeds, so it
 must equal the scan that searches its rounds one after another
 (``polyref``) exactly, and it must go no higher than the scan with one scipy
@@ -134,20 +136,109 @@ def test_level_start_on_a_bound_with_negative_curvature_moves_into_the_box(corne
 
 
 @pytest.mark.parametrize(
-    "terms",
-    [{}, {(0, 0): 2.0}, {(1, 0): 1.0, (0, 1): -2.0}, {(2, 0): 1.0, (0, 1): 1.0}, {(1, 1): 1.0}],
-    ids=["zero", "constant", "linear", "flat in x2", "bilinear"],
+    "dim, terms",
+    [
+        (2, {}),
+        (2, {(0, 0): 2.0}),
+        (2, {(1, 0): 1.0, (0, 1): -2.0}),
+        (2, {(2, 0): 1.0, (0, 1): 1.0}),
+        (2, {(1, 1): 1.0}),
+        (1, {}),
+        (1, {(0,): 2.0}),
+        (1, {(1,): -2.0, (0,): 1.0}),
+        (1, {(2,): -1.0, (4,): 1.0}),
+    ],
+    ids=["zero", "constant", "linear", "flat in x2", "bilinear",
+         "1-D zero", "1-D constant", "1-D linear", "1-D double well from its maximum"],
 )
-def test_flat_and_linear_pieces_give_finite_points(terms):
+def test_flat_and_linear_pieces_give_finite_points(dim, terms):
     # Warnings are errors in the suite, so a 0/0 or an overflow fails here too.
-    p = Polynomial.from_terms(2, terms)
-    starts = np.array([[0.0, 0.0], [0.3, -0.2], [3.0, 3.0]])
+    p = Polynomial.from_terms(dim, terms)
+    starts = np.array([[0.0, 0.0], [0.3, -0.2], [3.0, 3.0]])[:, :dim]
     pts, vals = _local_minima(p, starts, 3.0)
     assert np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))
     assert np.all(vals <= p.eval_many(starts))
     if terms == {(1, 0): 1.0, (0, 1): -2.0}:
         assert np.allclose(pts, [-3.0, 3.0]) and np.allclose(vals, -9.0)
+    if terms == {(1,): -2.0, (0,): 1.0}:
+        assert np.all(pts == 3.0) and np.all(vals == -5.0)
+    if terms == {(2,): -1.0, (4,): 1.0}:  # -x^2 + x^4 leaves its maximum 0
+        assert vals == pytest.approx(-0.25, abs=1e-12)
     _assert_same_as_one_halving_at_a_time(p, starts, 3.0)
+
+
+def test_a_1d_start_at_a_local_maximum_is_left_in_boxes_of_every_width():
+    # -x^2 + x^4 from x = 0: slope 0 and curvature -2, so the search turns,
+    # with a first step as long as the box's diameter, 2**128 at the widest.
+    p = Polynomial.from_terms(1, {(2,): -1.0, (4,): 1.0})
+    for doublings in range(128):
+        radius = 2.0**doublings
+        pts, vals = _local_minima(p, np.zeros((1, 1)), radius)
+        assert vals[0] == pytest.approx(-0.25, abs=1e-12), doublings
+        _assert_same_as_one_halving_at_a_time(p, np.zeros((1, 1)), radius)
+
+
+def test_the_1d_step_calls_no_eigensolver(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    quartic = Polynomial.from_terms(1, {(4,): 1.0, (3,): -2.0, (1,): 0.5, (0,): 1.0})
+    minimize_polynomial(quartic, SearchBudget())
+    polish_minimum(quartic, np.array([[-3.0], [0.2], [5.0]]), FAST_BUDGET)
+    assert calls == []
+    minimize_polynomial(eligible_quartic_poly(), SearchBudget())
+    assert calls and all(shape[1:] == (2, 2) for shape in calls)
+
+
+def _jet_sizes(monkeypatch, p, starts, radius, search=_local_minima):
+    """The number of points of each evaluation that a search makes."""
+    sizes = []
+    original = Polynomial._jet
+
+    def recording(q, pts):
+        sizes.append(len(pts))
+        return original(q, pts)
+
+    monkeypatch.setattr(Polynomial, "_jet", recording)
+    search(p, starts, radius)
+    monkeypatch.setattr(Polynomial, "_jet", original)
+    return sizes
+
+
+def test_the_full_step_falls_back_to_the_halving_blocks(monkeypatch):
+    # (x1 x2 - 1)^2 + x2^2 in [-4, 4]^2.  On the edge x1 = 4 with 0 < x2 < 1/4
+    # the gradient holds x1 on its bound, and p is the convex quadratic
+    # 17 x2^2 - 8 x2 + 1: one full step reaches its minimum 4/17, where a
+    # start is settled at once.  Starts inside walk the curved valley out to
+    # the edge and halve their steps on the way.
+    p, radius = valley_poly(1, 1.0, 1.0, 0.0), 4.0
+    edge = np.array([[4.0, 0.1], [4.0, 0.2], [-4.0, -0.2]])
+    valley = np.array([[1.0, 1.0], [0.5, 2.0], [-3.0, 3.0], [0.0, 0.0]])
+    settled = _local_minima(p, edge[:1], radius)[0]
+    assert _jet_sizes(monkeypatch, p, edge, radius) == [3, 3]
+    assert _jet_sizes(monkeypatch, p, settled, radius) == [1]
+    assert all(max(_jet_sizes(monkeypatch, p, start[None, :], radius)) > 1 for start in valley)
+    batch = np.vstack([edge, valley, settled])
+    for starts in (batch, batch[::-1]):
+        _assert_same_as_one_halving_at_a_time(p, starts, radius)
+        _assert_each_start_alone(p, starts, [radius] * len(starts), *_local_minima(p, starts, radius))
+
+
+def test_a_batch_of_full_steps_evaluates_once_per_iteration(monkeypatch):
+    # (x1^2 + x2^2)^2 from four symmetric starts: each Newton step takes the
+    # starts from radius rho to 2 rho / 3, the full step always passes, and
+    # all four stop in the same iteration.
+    p = Polynomial.from_terms(2, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0})
+    starts = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    sizes = _jet_sizes(monkeypatch, p, starts, 2.0)
+    # The reference evaluates once per halving tested, so once per iteration here.
+    ref_sizes = _jet_sizes(monkeypatch, p, starts, 2.0, search=local_minima_ref)
+    assert len(sizes) > 10 and sizes == ref_sizes == [4] * len(sizes)
 
 
 def _regression_polynomials():

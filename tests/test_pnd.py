@@ -275,3 +275,23 @@ def test_a_box_whose_degree_th_power_overflows_is_rejected():
             minimize_polynomial(p, SearchBudget(doublings=doublings))
         with pytest.raises(ValueError, match="SearchBudget.doublings"):
             polish_minimum(p, corner, SearchBudget(doublings=doublings))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("degree, dim, last", [
+    (1, 1, 1022), (1, 2, 1022), (1, 3, 1022), (1, 4, 1021), (1, 5, 1021),
+    (2, 1, 510), (2, 2, 510), (2, 3, 510), (2, 4, 509), (2, 5, 509),
+])
+def test_a_box_whose_diameter_overflows_is_rejected(degree, dim, last):
+    # 1 + x1 and 1 - x1^2 (a maximum at 0, so the search turns there).  The
+    # box's diameter 2 * 2**doublings * sqrt(dim) must be finite, and for
+    # degree 2 its square too, before (2**doublings)**degree overflows.
+    p = Polynomial.from_terms(dim, {(0,) * dim: 1.0, (degree,) + (0,) * (dim - 1): (-1.0) ** (degree + 1)})
+    radius = 2.0**last
+    result = minimize_polynomial(p, SearchBudget(doublings=last))
+    assert result.value == 1.0 - radius**degree
+    assert np.all(np.isfinite(polish_minimum(p, np.full((1, dim), radius), SearchBudget(doublings=last))[1]))
+    with pytest.raises(ValueError, match="SearchBudget.doublings"):
+        minimize_polynomial(p, SearchBudget(doublings=last + 1))
+    with pytest.raises(ValueError, match="SearchBudget.doublings"):
+        polish_minimum(p, np.zeros((1, dim)), SearchBudget(doublings=last + 1))
