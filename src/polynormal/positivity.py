@@ -15,7 +15,12 @@ is derived from the tail bound
 
     (1+d)^{2m} * sum_{|a|<2m} |a_alpha| / (1+R)^{2m-|a|} <= b0 / 3,
 
-outside of which the leading axis terms dominate.  All of this is
+outside of which the leading axis terms dominate.  The grid's best point is
+polished by Nelder-Mead (Nelder & Mead 1965) and the tail radius is a
+Brent root (Brent 1973); both are ports of scipy's ``minimize(method=
+"Nelder-Mead")`` and ``brentq`` in the one configuration used here, step
+for step, so they return scipy's bits without importing it (``tests/
+polyref.py`` keeps the scipy calls as the reference).  All of this is
 numerical estimation, not certification; downstream users re-verify
 positivity directly where it matters.
 """
@@ -36,6 +41,20 @@ LEADING_COEFF_TOL = 1e-12
 GRID_REFINE_TOL = 1e-4
 # Safety factor on the derived perturbation radius.
 EPSILON_SAFETY = 0.9
+
+# Brent's root: absolute and relative tolerance, iteration cap (brentq's).
+_BRENT_XTOL = 1e-9
+_BRENT_RTOL = 1e-12
+_BRENT_ITER = 100
+# Nelder-Mead: reflection, expansion, contraction and shrink coefficients,
+# the relative and the zero-coordinate steps of the first simplex, and the
+# tolerances on the simplex's spread in x and in f (scipy's defaults but
+# the last two).
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT = 0.05
+_ZDELT = 0.00025
+_XATOL = 1e-10
+_FATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,9 +94,151 @@ def check_condition_337(p: Polynomial) -> bool:
     return bool(np.all(leading_axis_coeffs(p) > LEADING_COEFF_TOL))
 
 
+def _signbit(v: float) -> bool:
+    return math.copysign(1.0, v) < 0.0
+
+
+def _brent_root(f, a: float, b: float) -> float:
+    """Root of f in [a, b] by Brent's method.
+
+    A port of scipy's ``brentq`` kernel (``Zeros/brentq.c``) with xtol 1e-9,
+    rtol 1e-12 and 100 iterations: the same steps in the same order, so it
+    returns the same bits.  Ends of the same sign are a ``ValueError``, and
+    no convergence within 100 iterations a ``RuntimeError``.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITER):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in {_BRENT_ITER} iterations, value is {xcur}")
+
+
+class _Exhausted(Exception):
+    """Raised by a Nelder-Mead evaluation past the budget of 200 N calls."""
+
+
+def _nelder_mead(f, x0):
+    """Minimize f from x0 by the Nelder-Mead simplex method; returns (x, f(x)).
+
+    A port of scipy's ``minimize(method="Nelder-Mead")`` without bounds, not
+    adaptive, with xatol 1e-10 and fatol 1e-12: the same first simplex, the
+    same steps, the same re-sorting by ``np.argsort`` and the same budget of
+    200 N iterations and 200 N evaluations (an evaluation past it ends the
+    iteration it is in), so it returns the same bits.  f is given each
+    point as a view into the simplex and must not change it.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim[k + 1] = y
+    maxiter = maxfev = 200 * n
+    calls = 0
+
+    def fun(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Exhausted
+        calls += 1
+        return f(x)
+
+    fsim = np.array([fun(v) for v in sim], dtype=float)
+    # Sorted twice, as scipy does: argsort need not keep the order of ties.
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+            fxr = fun(xr)
+            if fxr < fsim[0]:
+                xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+                fxe = fun(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                shrink = False
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                    fxc = fun(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        shrink = True
+                else:  # inside contraction
+                    xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                    fxcc = fun(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        shrink = True
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                        fsim[j] = fun(sim[j])
+            iterations += 1
+        except _Exhausted:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 def _tail_radius(p: Polynomial, b0: float) -> float:
-    """Smallest R with the lower-order tail bound at most b0 / 3."""
-    from scipy.optimize import brentq  # scipy loads on first use, not on import
+    """Smallest R with the lower-order tail bound at most b0 / 3 (a Brent
+    root, ``_brent_root``)."""
     two_m = _even_degree(p)
     d = p.dim
     lower = [(sum(a), abs(c)) for a, c in p.terms.items() if sum(a) < two_m]
@@ -95,12 +256,12 @@ def _tail_radius(p: Polynomial, b0: float) -> float:
     hi = 1.0
     while tail(hi) > target and hi < 2**60:
         hi *= 2.0
-    return float(brentq(lambda r: tail(r) - target, 0.0, hi, xtol=1e-9, rtol=1e-12))
+    return float(_brent_root(lambda r: tail(r) - target, 0.0, hi))
 
 
 def _ratio_min_on_ball(p: Polynomial, radius: float, two_m: int) -> float:
-    """Grid-refined minimum of Q / (1 + sum x_j^{2m}) over the closed l1 ball."""
-    from scipy.optimize import minimize as _scipy_minimize
+    """Grid-refined minimum of Q / (1 + sum x_j^{2m}) over the closed l1 ball,
+    polished by Nelder-Mead (``_nelder_mead``) from the grid's best point."""
 
     def ratio_many(pts):
         denom = 1.0 + np.sum(np.abs(pts) ** two_m, axis=1)
@@ -132,9 +293,9 @@ def _ratio_min_on_ball(p: Polynomial, radius: float, two_m: int) -> float:
         center = best_pt
         half *= 0.5
     # Local polish; the ratio is smooth for even 2m.  Accept only in-ball wins.
-    res = _scipy_minimize(ratio_one, best_pt, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-    if res.fun < best_val and np.sum(np.abs(res.x)) <= radius + 1e-9:
-        best_val = float(res.fun)
+    x, fun = _nelder_mead(ratio_one, best_pt)
+    if fun < best_val and np.sum(np.abs(x)) <= radius + 1e-9:
+        best_val = float(fun)
     return best_val
 
 

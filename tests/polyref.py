@@ -16,7 +16,10 @@ the bit-exact reference for ``polyalg.affine_substitute``, which substitutes
 every slice of a variable at once.  The biquadratic factor probe whose
 residual summed the 36 coefficient products in a loop, with its Jacobian
 taken by scipy's finite differences, is kept as the reference for
-``verify.biquadratic_factor_probe`` (``test_verify.py``).
+``verify.biquadratic_factor_probe`` (``test_verify.py``).  The tail radius
+and the polished infimum grid that called scipy's ``brentq`` and Nelder-Mead
+are kept as the bit-exact references for ``polynormal.positivity``, whose
+ports of the two solvers import no scipy (``test_positivity.py``).
 """
 
 import functools
@@ -24,7 +27,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 from scipy.optimize import minimize as scipy_minimize
 
 from polynormal.pnd import (
@@ -40,7 +43,8 @@ from polynormal.pnd import (
     _grid_candidates,
     _local_minima,
 )
-from polynormal.polyalg import HermiteCoeffs, Polynomial
+from polynormal.polyalg import HermiteCoeffs, Polynomial, tensor_grid
+from polynormal.positivity import GRID_REFINE_TOL, _even_degree
 from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _quadratic_from_vector
 
 
@@ -405,3 +409,65 @@ def biquadratic_factor_probe_ref(P: Polynomial, starts: int = 200, seed: int = 0
         if ssq < best_ssq:
             best_ssq, best_z = ssq, res.x
     return ProbeResult(best_ssq, _quadratic_from_vector(best_z[:6]), _quadratic_from_vector(best_z[6:]))
+
+
+def tail_radius_ref(p: Polynomial, b0: float) -> float:
+    """Smallest R with the lower-order tail bound at most b0 / 3, by scipy's brentq."""
+    two_m = _even_degree(p)
+    d = p.dim
+    lower = [(sum(a), abs(c)) for a, c in p.terms.items() if sum(a) < two_m]
+    if not lower:
+        return 0.0
+
+    def tail(r):
+        return (1.0 + d) ** two_m * sum(
+            c / (1.0 + r) ** (two_m - k) for k, c in lower
+        )
+
+    target = b0 / 3.0
+    if tail(0.0) <= target:
+        return 0.0
+    hi = 1.0
+    while tail(hi) > target and hi < 2**60:
+        hi *= 2.0
+    return float(brentq(lambda r: tail(r) - target, 0.0, hi, xtol=1e-9, rtol=1e-12))
+
+
+def ratio_min_on_ball_ref(p: Polynomial, radius: float, two_m: int) -> float:
+    """Grid-refined minimum of Q / (1 + sum x_j^{2m}) over the closed l1 ball,
+    polished by scipy's Nelder-Mead."""
+
+    def ratio_many(pts):
+        denom = 1.0 + np.sum(np.abs(pts) ** two_m, axis=1)
+        return p.eval_many(pts) / denom
+
+    def ratio_one(x):
+        return p.eval(x) / (1.0 + float(np.sum(np.abs(x) ** two_m)))
+
+    d = p.dim
+    per_axis = {1: 41, 2: 21, 3: 11}.get(d, 7)
+    center = np.zeros(d)
+    half = radius
+    best_val = ratio_one(center)
+    best_pt = center
+    prev = math.inf
+    for _ in range(60):
+        pts = tensor_grid([np.linspace(c - half, c + half, per_axis) for c in center])
+        mask = np.sum(np.abs(pts), axis=1) <= radius + 1e-12
+        if mask.any():
+            pts = pts[mask]
+            vals = ratio_many(pts)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val = float(vals[i])
+                best_pt = pts[i]
+        if prev != math.inf and abs(prev - best_val) <= GRID_REFINE_TOL * max(1e-12, abs(prev)):
+            break
+        prev = best_val
+        center = best_pt
+        half *= 0.5
+    # Local polish; the ratio is smooth for even 2m.  Accept only in-ball wins.
+    res = scipy_minimize(ratio_one, best_pt, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
+    if res.fun < best_val and np.sum(np.abs(res.x)) <= radius + 1e-9:
+        best_val = float(res.fun)
+    return best_val

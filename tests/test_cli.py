@@ -357,11 +357,48 @@ def test_outputs_are_deterministic(workdir, example4_json):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy loads on first use (the infimum estimate and the factor probe);
-    # a fresh interpreter shows what importing alone loads.
+def _scipy_modules_loaded_by(*statements):
+    """The scipy modules a fresh interpreter holds after importing the CLI and
+    running the statements."""
     src = str(Path(polynormal.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, polynormal, polynormal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "\n".join([
+        "import sys, polynormal",
+        "from polynormal.cli import main",
+        *statements,
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # Only the factor probe loads scipy, on first use.
+    assert _scipy_modules_loaded_by() == "[]"
+
+
+@pytest.fixture(scope="module")
+def density_commands(tmp_path_factory):
+    """Argument lists of every command but `probe` and `invcharfn`, on the
+    eligible quartic: it reaches the perturbation radius, which the reference
+    density (failing the axis condition) never does."""
+    workdir = tmp_path_factory.mktemp("commands")
+    f = _write(workdir / "f.json", _pnd_json(eligible_quartic_poly(), np.eye(2), np.zeros(2)))
+    assert main(["--out", str(workdir / "dec.json"), "decompose", "--input", f]) == 0
+    dec = json.loads((workdir / "dec.json").read_text())
+    y = _write(workdir / "y.json", dec["factor_Y"])
+    z = _write(workdir / "z.json", dec["factor_Z"])
+    out = ["--out", str(workdir / "out.json")]
+    return {
+        "validate": [*out, "validate", "--input", f],
+        "charfn": [*out, "charfn", "--input", f],
+        "diagnose": [*out, "diagnose", "--input", f],
+        "decompose": [*out, "decompose", "--input", f],
+        "verify-conv": [*out, "verify-conv", "--f", f, "--y", y, "--z", z],
+        "example4": [*out, "example4"],
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "charfn", "diagnose", "decompose", "verify-conv", "example4"])
+def test_density_commands_load_no_scipy(density_commands, command):
+    assert _scipy_modules_loaded_by(f"assert main({density_commands[command]!r}) == 0") == "[]"
