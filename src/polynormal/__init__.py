@@ -73,7 +73,6 @@ from .verify import (
     Witness,
     biquadratic_factor_probe,
     convolution_check,
-    example4_B,
     example4_B_exact,
     example4_B_from_density,
     example4_negative_witness,

@@ -54,7 +54,7 @@ from .verify import (
     GaussianFactor,
     biquadratic_factor_probe,
     convolution_check,
-    example4_B,
+    example4_B_exact,
     example4_B_from_density,
     example4_negative_witness,
     example4_signed_density,
@@ -252,7 +252,7 @@ def _cmd_example4(args, cfg: RunConfig) -> int:
         out["B"] = None
         out["note"] = "a12 = 0: quartic axis term vanishes; witness scanned on the x1 axis"
     else:
-        out["B"] = example4_B(params)
+        out["B"] = example4_B_exact(params)
         out["B_numeric"] = example4_B_from_density(params)
     witness = example4_negative_witness(params, args.n_max)
     out["witness"] = {

@@ -92,10 +92,10 @@ def precheck(pnd: PND, budget: SearchBudget | None = None) -> Diagnosis:
     """Zero detection, then the axis condition on the whitened polynomial.
 
     The zero scan is the one ``make_pnd`` made when the budgets match; the
-    infimum grid of the report refines to ``positivity.GRID_REFINE_TOL``.
+    report's infimum is searched from the same budget's seeds.
     """
     scan = find_min_poly(pnd, budget)
-    report = epsilon_bound(pnd.whitened)
+    report = epsilon_bound(pnd.whitened, budget)
     if scan.value <= ZERO_TOL and scan.attained:
         return Diagnosis(
             VERDICT_HAS_REAL_ZERO,

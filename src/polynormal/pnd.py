@@ -348,21 +348,11 @@ def polish_minimum(p: Polynomial, starts, budget: SearchBudget):
     return _local_minima(p, starts, _last_radius(p, budget))
 
 
-def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:
-    """Best-effort global minimum of p; a witness, not a certificate.
-
-    Draws every round's seeds (the origin, the best coarse-grid points and
-    the random points, round by round from one generator) and searches
-    them in one ``_local_minima`` call, each in its own round's box.  The
-    result is the lowest point found, the first in seed order on ties.
-
-    ``attained`` is False when the last round still improved on the
-    earlier ones or the best point sits at the box fringe -- the signature
-    of an infimum approached only at infinity.
-    """
-    budget = budget or SearchBudget()
+def _scan_seeds(p, budget: SearchBudget):
+    """Every round's seeds (an (n, d) array) and the half-width of each one's
+    box (n,): the origin, the best coarse-grid points of p and the random
+    points, round by round from one generator."""
     d = p.dim
-    last = _last_radius(p, budget)
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
     radii = [2.0**k for k in range(budget.doublings + 1)]
@@ -373,11 +363,29 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
             round_seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
         seeds.extend(round_seeds)
         sizes.append(len(round_seeds))
-    pts, vals = _local_minima(p, np.array(seeds), np.repeat(radii, sizes))
+    return np.array(seeds), np.repeat(radii, sizes)
+
+
+def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:
+    """Best-effort global minimum of p; a witness, not a certificate.
+
+    Draws every round's seeds (``_scan_seeds``) and searches them in one
+    ``_local_minima`` call, each in its own round's box.  The result is the
+    lowest point found, the first in seed order on ties.
+
+    ``attained`` is False when the last round still improved on the
+    earlier ones or the best point sits at the box fringe -- the signature
+    of an infimum approached only at infinity.
+    """
+    budget = budget or SearchBudget()
+    d = p.dim
+    last = _last_radius(p, budget)
+    seeds, radii = _scan_seeds(p, budget)
+    pts, vals = _local_minima(p, seeds, radii)
     # The first seed is the origin, and its search ends there or below p(0).
     i = int(np.argmin(vals))
     best_pt, best_val = pts[i], float(vals[i])
-    prev = float(vals[:-sizes[-1]].min(initial=p.eval(np.zeros(d))))  # the best before the last round
+    prev = float(vals[radii < last].min(initial=p.eval(np.zeros(d))))  # the best before the last round
     still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
     interior = bool(np.max(np.abs(best_pt)) <= 0.9 * last)
     return MinimizationResult(best_pt, best_val, attained=(not still_improving) and interior)

@@ -149,30 +149,14 @@ def example4_candidate_cf(params: Example4Params) -> CharFn:
     return make_charfn(Polynomial.from_terms(2, _CANDIDATE_BETA), sigma, np.zeros(2))
 
 
-def example4_B(params: Example4Params) -> float:
-    """Conservative closed form of the n^2 growth coefficient along the
-    probe curve.
-
-    Negative for every admissible triple, which is what forces the
-    candidate's inverse transform below zero.  It understates the exact
-    coefficient by a12/a22 (see ``example4_B_exact``); both forms stay
-    negative wherever the parameters are admissible.  a12 enters through
-    its absolute value; a12 = 0 is the separate axis branch.
-    """
-    validate_example4_params(params)
-    a12 = abs(params.a12)
-    if a12 == 0.0:
-        raise ValueError("a12 must be nonzero; the a12 = 0 case follows the axis branch")
-    a11, a22 = params.a11, params.a22
-    det = a11 * a22 - a12**2
-    return a22 / a12 - a12 / a22 - 1.0 / a12 - a12 / det
-
-
 def example4_B_exact(params: Example4Params) -> float:
-    """Exact n^2 growth coefficient: (a22 - 1)/|a12| - |a12|/det.
+    """Exact n^2 growth coefficient along the probe curve:
+    (a22 - 1)/|a12| - |a12|/det.
 
     Both terms are negative whenever the parameters are admissible, so the
-    sign conclusion needs no case analysis.  Cross-checked against the
+    sign conclusion needs no case analysis; that negative coefficient is
+    what forces the candidate's inverse transform below zero.  a12 = 0 is
+    the separate axis branch.  Cross-checked against the
     numerical extraction from the recomputed polynomial
     (``example4_B_from_density``).
     """

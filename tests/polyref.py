@@ -18,8 +18,8 @@ residual summed the 36 coefficient products in a loop, with its Jacobian
 taken by scipy's finite differences, is kept as the reference for
 ``verify.biquadratic_factor_probe`` (``test_verify.py``).  The tail radius
 and the polished infimum grid that called scipy's ``brentq`` and Nelder-Mead
-are kept as the bit-exact references for ``polynormal.positivity``, whose
-ports of the two solvers import no scipy (``test_positivity.py``).
+are kept as the bound that ``positivity``'s search of the infimum, the scan's
+local search run on the ratio, must not exceed (``test_positivity.py``).
 """
 
 import functools
@@ -44,7 +44,7 @@ from polynormal.pnd import (
     _local_minima,
 )
 from polynormal.polyalg import HermiteCoeffs, Polynomial, tensor_grid
-from polynormal.positivity import GRID_REFINE_TOL, _even_degree
+from polynormal.positivity import _even_degree
 from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _quadratic_from_vector
 
 
@@ -433,9 +433,15 @@ def tail_radius_ref(p: Polynomial, b0: float) -> float:
     return float(brentq(lambda r: tail(r) - target, 0.0, hi, xtol=1e-9, rtol=1e-12))
 
 
+# Relative-change target for the grid refinement of the infimum.
+GRID_REFINE_TOL = 1e-4
+
+
 def ratio_min_on_ball_ref(p: Polynomial, radius: float, two_m: int) -> float:
     """Grid-refined minimum of Q / (1 + sum x_j^{2m}) over the closed l1 ball,
-    polished by scipy's Nelder-Mead."""
+    polished by scipy's Nelder-Mead: the infimum search that ``positivity``
+    ran before its ratio search, kept as the value that search must not
+    exceed."""
 
     def ratio_many(pts):
         denom = 1.0 + np.sum(np.abs(pts) ** two_m, axis=1)

@@ -256,7 +256,7 @@ def test_example4_command_defaults(workdir, capsys):
     csv_path = workdir / "slice.csv"
     assert main(["--out", str(workdir / "e4.json"), "example4", "--csv", str(csv_path)]) == 0
     report = json.loads(open(workdir / "e4.json").read())
-    assert report["B"] == pytest.approx(-5.61667, abs=1e-4)
+    assert report["B"] == pytest.approx(-5.41667, abs=1e-4)
     assert report["witness"]["value"] < -1e-10
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x1,x2,f"

@@ -278,9 +278,9 @@ def test_decompose_carries_its_precheck(monkeypatch):
     module = sys.modules["polynormal.decompose"]  # the package re-exports the function
     calls = []
 
-    def counting(q):
+    def counting(q, budget):
         calls.append(q)
-        return epsilon_bound(q)
+        return epsilon_bound(q, budget)
 
     monkeypatch.setattr(module, "epsilon_bound", counting)
     pnd = make_pnd(desk_quartic_poly(), np.eye(2), np.zeros(2))
@@ -288,6 +288,12 @@ def test_decompose_carries_its_precheck(monkeypatch):
     assert len(calls) == 1
     assert diagnosis_to_dict(dec.diagnosis) == diagnosis_to_dict(precheck(pnd))
     assert dec.diagnosis.verdict == VERDICT_ELIGIBLE
+
+
+def test_precheck_searches_the_infimum_with_its_budget():
+    pnd = make_pnd(desk_quartic_poly(), np.eye(2), np.zeros(2))
+    for doublings in (3, 6):
+        assert precheck(pnd, SearchBudget(doublings=doublings)).report.search_radius == 2.0**doublings
 
 
 def test_decompose_shift_equivariance():

@@ -1,19 +1,14 @@
 """Axis condition, infimum estimates, and the perturbation radius."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
-from scipy import optimize
 
-from polynormal import positivity
 from polynormal.errors import ConditionFailed
 from polynormal.polyalg import Polynomial, affine_substitute
 from polynormal.positivity import (
-    _brent_root,
-    _nelder_mead,
-    _tail_radius,
+    _Ratio,
     check_condition_337,
     epsilon_bound,
     estimate_inf_b,
@@ -21,8 +16,8 @@ from polynormal.positivity import (
     leading_axis_coeffs,
 )
 
-from conftest import all_multiindices, eligible_quartic_poly, example4_poly
-from polyref import ratio_min_on_ball_ref, tail_radius_ref
+from conftest import all_multiindices, eligible_quartic_poly, example4_poly, random_signed_poly
+from polyref import eval_ref, grad_eval_ref, hessian_eval_ref, ratio_min_on_ball_ref, tail_radius_ref
 
 
 def test_leading_axis_coeffs_reference_quartic():
@@ -121,10 +116,9 @@ def test_scaling_covariance():
         assert scaled.search_radius == pytest.approx(base.search_radius, rel=1e-9)
 
 
-def _l1_ball_grid(radius, per_axis=21):
+def _box_grid(radius, per_axis=21):
     axes = [np.linspace(-radius, radius, per_axis)] * 2
-    pts = np.array(list(itertools.product(*axes)))
-    return pts[np.sum(np.abs(pts), axis=1) <= radius]
+    return np.array(list(itertools.product(*axes)))
 
 
 def test_perturbation_soundness():
@@ -133,16 +127,17 @@ def test_perturbation_soundness():
     assert report.epsilon > 0.0
     rng = np.random.default_rng(14)
     indices = all_multiindices(2, p.degree)
-    ball = _l1_ball_grid(report.search_radius)
-    exterior = rng.uniform(-8.0, 8.0, size=(40_000, 2))
-    exterior = exterior[np.sum(np.abs(exterior), axis=1) > report.search_radius][:10_000]
+    radius = report.search_radius
+    box = _box_grid(radius)
+    exterior = rng.uniform(-4.0 * radius, 4.0 * radius, size=(40_000, 2))
+    exterior = exterior[np.max(np.abs(exterior), axis=1) > radius][:10_000]
     assert len(exterior) == 10_000
     for _ in range(200):
         delta = {
             alpha: rng.uniform(-1.0, 1.0) * report.epsilon * 0.999 for alpha in indices
         }
         w = p + Polynomial.from_terms(2, delta, eps=0.0)
-        assert np.min(w.eval_many(ball)) > 0.0
+        assert np.min(w.eval_many(box)) > 0.0
         assert np.min(w.eval_many(exterior)) > 0.0
 
 
@@ -199,7 +194,7 @@ def test_inf_a_lower_is_sound_pointwise():
         assert report.inf_a_lower <= np.min(ratio) + 1e-12
 
 
-# -- the ports of scipy's Nelder-Mead and brentq: the same bits ----------------
+# -- the search against the grid it replaced ----------------------------------
 
 
 def _eligible_poly(rng, dim, degree):
@@ -230,7 +225,8 @@ def _near_tied_wells(dim, tilt):
 
 def _last_bit_pair():
     """An eligible d = 2 quartic, and the same with its constant term one unit
-    in the last place higher: their infimum estimates differ by 4 %."""
+    in the last place higher: the grid's infimum estimates of the two differ
+    by 4 %."""
     p = _eligible_poly(np.random.default_rng(645147212), 2, 4)
     terms = dict(p.terms)
     terms[(0, 0)] = np.nextafter(terms[(0, 0)], np.inf)
@@ -253,126 +249,52 @@ def _families():
 FAMILIES = _families()
 
 
-def _ratio(p):
-    two_m = p.degree
-    return lambda x: p.eval(x) / (1.0 + float(np.sum(np.abs(x) ** two_m)))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_inf_b_finds_the_well_the_grid_missed(dim):
+    # The ratio is 0.05 at x = (1, 0, ...); far out it tends to 0.5, where the
+    # grid that came before this search ended up.
+    assert epsilon_bound(_near_tied_wells(dim, 0.0)).inf_b <= 0.051
 
 
-def _bytes(*values):
-    return [np.asarray(v, dtype=float).tobytes() for v in values]
-
-
-def _scipy_nelder_mead(f, x0):
-    res = optimize.minimize(f, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-    return res.x, res.fun
-
-
-def test_nelder_mead_equals_scipy_on_ratio_functions():
-    rng = np.random.default_rng(5)
-    for p in FAMILIES:
-        f = _ratio(p)
-        starts = [rng.uniform(-2.0, 2.0, size=p.dim), np.zeros(p.dim)]
-        starts.append(np.where(rng.random(p.dim) < 0.5, 0.0, rng.uniform(-3.0, 3.0, size=p.dim)))
-        for x0 in starts:
-            assert _bytes(*_nelder_mead(f, x0)) == _bytes(*_scipy_nelder_mead(f, x0))
-
-
-def test_nelder_mead_zero_coordinates_take_the_zero_step(monkeypatch):
-    # A zero coordinate of the start is moved by zdelt, not by 5 % of itself.
-    f = _ratio(next(p for p in FAMILIES if p.dim == 2 and p.degree == 4))
-    x0 = np.array([0.0, 0.4])
-    x, fun = _nelder_mead(f, x0)
-    assert _bytes(x, fun) == _bytes(*_scipy_nelder_mead(f, x0))
-    monkeypatch.setattr(positivity, "_ZDELT", 0.0005)
-    assert _bytes(*_nelder_mead(f, x0)) != _bytes(x, fun)
-
-
-@pytest.mark.parametrize("g", [lambda x: 1.0, lambda x: float(np.floor(1e3 * np.sum(x * x)))])
-def test_nelder_mead_shrinks_as_scipy_does(monkeypatch, g):
-    def traced(trace):
-        def f(x):
-            trace.append(np.array(x))
-            return g(x)
-        return f
-
-    x0 = np.array([0.7, -0.2])
-    ours, ref, shrunk = [], [], []
-    assert _bytes(*_nelder_mead(traced(ours), x0)) == _bytes(*_scipy_nelder_mead(traced(ref), x0))
-    assert _bytes(*ours) == _bytes(*ref)
-    # Both functions are flat where the simplex lands, so it shrinks; another
-    # shrink factor visits other points.
-    monkeypatch.setattr(positivity, "_SIGMA", 0.25)
-    _nelder_mead(traced(shrunk), x0)
-    assert _bytes(*shrunk) != _bytes(*ours)
+def test_inf_b_is_stable_under_a_last_bit_change():
+    p, q = _last_bit_pair()
+    assert epsilon_bound(q).inf_b == pytest.approx(epsilon_bound(p).inf_b, rel=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_nelder_mead_stops_after_200_n_evaluations(dim):
-    calls = []
-
-    def f(x):
-        calls.append(1)
-        return -x[0]
-
-    x0 = np.zeros(dim)
-    x, fun = _nelder_mead(f, x0)
-    assert len(calls) == 200 * dim
-    res = optimize.minimize(f, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-    assert res.nfev == 200 * dim
-    assert _bytes(x, fun) == _bytes(res.x, res.fun)
-
-
-def test_tail_radius_equals_scipys_brentq():
-    for p in FAMILIES:
-        b0 = float(np.min(leading_axis_coeffs(p)))
-        for scale in (1.0, 1e-3, 1e3):
-            assert _bytes(_tail_radius(p, scale * b0)) == _bytes(tail_radius_ref(p, scale * b0))
-
-
-@pytest.mark.parametrize(
-    "f, a, b",
-    [
-        (lambda x: 2.0 * x - 1.0, 0.0, 3.0),  # one interpolation step
-        (lambda x: x**3 - 2.0, 0.0, 4.0),  # interpolation, extrapolation, rejected steps
-        (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),  # bisection only
-        (lambda x: math.exp(x) - 10.0, -5.0, 20.0),
-        (lambda x: math.atan(x - 0.7) ** 3, -50.0, 60.0),  # a flat root
-        (lambda x: x * x - 4.0, 2.0, 5.0),  # a root at a
-        (lambda x: x * x - 4.0, 0.0, 2.0),  # a root at b
-    ],
-)
-def test_brent_root_equals_scipys_brentq(f, a, b):
-    ref = optimize.brentq(f, a, b, xtol=1e-9, rtol=1e-12)
-    assert _bytes(_brent_root(f, a, b)) == _bytes(ref)
-
-
-def test_brent_root_rejects_a_bracket_of_one_sign():
-    def f(x):
-        return x * x + 1.0
-
-    with pytest.raises(ValueError):
-        optimize.brentq(f, -1.0, 2.0, xtol=1e-9, rtol=1e-12)
-    with pytest.raises(ValueError):
-        _brent_root(f, -1.0, 2.0)
-
-
-def test_brent_root_gives_up_after_100_iterations():
-    # Every step bisects; 1e300 wide needs about a thousand halvings.
-    def f(x):
-        return -1.0 if x < 1e-20 else 1.0
-
-    with pytest.raises(RuntimeError):
-        optimize.brentq(f, 0.0, 1e300, xtol=1e-9, rtol=1e-12)
-    with pytest.raises(RuntimeError):
-        _brent_root(f, 0.0, 1e300)
+def test_inf_b_of_a_constant(dim):
+    assert epsilon_bound(Polynomial.constant(dim, 3.0)).inf_b == 3.0 / (1 + dim)
 
 
 @pytest.mark.parametrize("index", range(len(FAMILIES)))
-def test_epsilon_bound_keeps_the_scipy_bits(monkeypatch, index):
+def test_inf_b_is_no_higher_than_the_grid(index):
     p = FAMILIES[index]
-    ours = epsilon_bound(p)
-    monkeypatch.setattr(positivity, "_tail_radius", tail_radius_ref)
-    monkeypatch.setattr(positivity, "_ratio_min_on_ball", ratio_min_on_ball_ref)
-    ref = epsilon_bound(p)
-    for field in ("inf_b", "inf_a_lower", "epsilon", "search_radius"):
-        assert _bytes(getattr(ours, field)) == _bytes(getattr(ref, field)), field
+    b0 = float(np.min(leading_axis_coeffs(p)))
+    grid = ratio_min_on_ball_ref(p, max(tail_radius_ref(p, b0), 1.0), p.degree)
+    # Up to rounding: both may find the same minimum, where the local search
+    # stops once the decrease it predicts is below the rounding of the ratio.
+    assert epsilon_bound(p).inf_b <= grid * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 2, 4, 8])
+def test_ratio_jet_is_the_quotient_of_the_reference_derivatives(dim, degree):
+    rng = np.random.default_rng(10 * dim + degree)
+    q = random_signed_poly(rng, dim, degree)
+    den = Polynomial.constant(dim, 1.0)
+    for j in range(dim):
+        den = den + Polynomial.from_terms(dim, {tuple(degree if k == j else 0 for k in range(dim)): 1.0})
+    pts = rng.uniform(-2.0, 2.0, size=(6, dim))
+    r, g, H, mag = _Ratio(q)._jet(pts)
+    q_mag = q._jet(pts)[3]
+    for i, x in enumerate(pts):
+        Q, D = eval_ref(q, x), eval_ref(den, x)
+        gQ, gD = grad_eval_ref(q, x), grad_eval_ref(den, x)
+        HQ, HD = hessian_eval_ref(q, x), hessian_eval_ref(den, x)
+        ref_g = gQ / D - Q * gD / D**2
+        ref_H = (HQ - Q * HD / D) / D - (np.outer(gQ, gD) + np.outer(gD, gQ)) / D**2 + 2.0 * Q * np.outer(gD, gD) / D**3
+        scale = q_mag[i] / D * (1.0 + np.abs(gD).max()) ** 2
+        assert r[i] == pytest.approx(Q / D, rel=1e-12, abs=1e-12 * scale)
+        assert np.allclose(g[i], ref_g, rtol=1e-10, atol=1e-12 * scale)
+        assert np.allclose(H[i], ref_H, rtol=1e-10, atol=1e-12 * scale)
+        assert mag[i] == pytest.approx(q_mag[i] / D, rel=1e-14)

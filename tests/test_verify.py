@@ -18,7 +18,6 @@ from polynormal.verify import (
     _quadratic_from_vector,
     biquadratic_factor_probe,
     convolution_check,
-    example4_B,
     example4_B_exact,
     example4_B_from_density,
     example4_negative_witness,
@@ -67,42 +66,37 @@ def test_convolution_negative_control():
 
 
 def test_example4_B_reference_value():
-    value = example4_B(Example4Params(0.5, 0.1, 0.5))
-    assert value == pytest.approx(5.0 - 0.2 - 10.0 - 0.1 / 0.24, abs=1e-12)
-    assert value == pytest.approx(-5.61667, abs=1e-4)
+    value = example4_B_exact(Example4Params(0.5, 0.1, 0.5))
+    assert value == pytest.approx(-0.5 / 0.1 - 0.1 / 0.24, abs=1e-12)
+    assert value == pytest.approx(-5.41667, abs=1e-4)
 
 
 def test_example4_B_negative_on_valid_params():
-    assert example4_B(Example4Params(0.55, 0.2, 0.65)) < 0.0
+    assert example4_B_exact(Example4Params(0.55, 0.2, 0.65)) < 0.0
 
 
 def test_example4_params_constraint_violation():
     with pytest.raises(ValueError):
         validate_example4_params(Example4Params(0.5, 0.8, 0.5))
     with pytest.raises(ValueError):
-        example4_B(Example4Params(0.5, 0.8, 0.5))
+        example4_B_exact(Example4Params(0.5, 0.8, 0.5))
 
 
 def test_example4_B_negative_on_500_samples():
     rng = np.random.default_rng(18)
     for _ in range(500):
         params = sample_example4_params(rng)
-        assert example4_B(params) < 0.0
         assert example4_B_exact(params) < 0.0
 
 
 def test_example4_B_cross_check_against_recomputation():
-    # The numerical extraction must match the exact closed form to 1e-6 and
-    # sit exactly |a12|/a22 above the conservative one.
+    # The numerical extraction must match the exact closed form to 1e-6.
     rng = np.random.default_rng(19)
     triples = [Example4Params(0.5, 0.1, 0.5), Example4Params(0.3, -0.15, 0.7)]
     triples += [sample_example4_params(rng) for _ in range(10)]
     for params in triples:
         numeric = example4_B_from_density(params)
-        exact = example4_B_exact(params)
-        conservative = example4_B(params)
-        assert numeric == pytest.approx(exact, abs=1e-6)
-        assert exact - conservative == pytest.approx(abs(params.a12) / params.a22, abs=1e-9)
+        assert numeric == pytest.approx(example4_B_exact(params), abs=1e-6)
 
 
 def test_example4_witness_reference_params():
