@@ -19,7 +19,9 @@ taken by scipy's finite differences, is kept as the reference for
 ``verify.biquadratic_factor_probe`` (``test_verify.py``).  The tail radius
 and the polished infimum grid that called scipy's ``brentq`` and Nelder-Mead
 are kept as the bound that ``positivity``'s search of the infimum, the scan's
-local search run on the ratio, must not exceed (``test_positivity.py``).
+local search run on the ratio, must not exceed, and as the search that
+``positivity.epsilon_bound`` must turn into the same report bits when it is
+put back (``test_positivity.py``).
 """
 
 import functools
@@ -44,7 +46,7 @@ from polynormal.pnd import (
     _local_minima,
 )
 from polynormal.polyalg import HermiteCoeffs, Polynomial, tensor_grid
-from polynormal.positivity import _even_degree
+from polynormal.positivity import _even_degree, leading_axis_coeffs
 from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _quadratic_from_vector
 
 
@@ -477,3 +479,12 @@ def ratio_min_on_ball_ref(p: Polynomial, radius: float, two_m: int) -> float:
     if res.fun < best_val and np.sum(np.abs(res.x)) <= radius + 1e-9:
         best_val = float(res.fun)
     return best_val
+
+
+def estimate_inf_b_ref(p: Polynomial, budget=None):
+    """The infimum and search radius ``positivity.estimate_inf_b`` gave
+    before its ratio search: the grid on the l1 ball of the tail radius
+    (at least 1).  ``budget`` is taken and ignored, as the grid had none."""
+    b0 = float(np.min(leading_axis_coeffs(p)))
+    radius = max(tail_radius_ref(p, b0), 1.0)
+    return ratio_min_on_ball_ref(p, radius, p.degree), radius

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from polynormal import positivity
 from polynormal.errors import ConditionFailed
 from polynormal.polyalg import Polynomial, affine_substitute
 from polynormal.positivity import (
@@ -17,7 +18,7 @@ from polynormal.positivity import (
 )
 
 from conftest import all_multiindices, eligible_quartic_poly, example4_poly, random_signed_poly
-from polyref import eval_ref, grad_eval_ref, hessian_eval_ref, ratio_min_on_ball_ref, tail_radius_ref
+from polyref import estimate_inf_b_ref, eval_ref, grad_eval_ref, hessian_eval_ref
 
 
 def test_leading_axis_coeffs_reference_quartic():
@@ -269,11 +270,29 @@ def test_inf_b_of_a_constant(dim):
 @pytest.mark.parametrize("index", range(len(FAMILIES)))
 def test_inf_b_is_no_higher_than_the_grid(index):
     p = FAMILIES[index]
-    b0 = float(np.min(leading_axis_coeffs(p)))
-    grid = ratio_min_on_ball_ref(p, max(tail_radius_ref(p, b0), 1.0), p.degree)
+    grid, _ = estimate_inf_b_ref(p)
     # Up to rounding: both may find the same minimum, where the local search
     # stops once the decrease it predicts is below the rounding of the ratio.
     assert epsilon_bound(p).inf_b <= grid * (1.0 + 1e-12)
+
+
+def _bytes(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("index", range(len(FAMILIES)))
+def test_epsilon_bound_keeps_the_scipy_bits(monkeypatch, index):
+    # Only the infimum's search changed: with the scipy grid put back in its
+    # place, the report carries that search's inf_b and radius, and the chain
+    # from inf_b to epsilon gives the bits it gave with the grid.
+    p = FAMILIES[index]
+    inf_b, radius = estimate_inf_b_ref(p)
+    monkeypatch.setattr(positivity, "estimate_inf_b", estimate_inf_b_ref)
+    report = epsilon_bound(p)
+    inf_a_lower = inf_b / ((1.0 + index_count(p.dim, p.degree)) * (1.0 + p.dim) ** p.degree)
+    expected = {"inf_b": inf_b, "inf_a_lower": inf_a_lower, "epsilon": 0.9 * inf_a_lower, "search_radius": radius}
+    for field, value in expected.items():
+        assert _bytes(getattr(report, field)) == _bytes(value), field
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
