@@ -48,7 +48,7 @@ from .pnd import (
     pnd_to_dict,
     write_density_csv,
 )
-from .polyalg import polynomial_from_dict, polynomial_to_dict
+from .polyalg import polynomial_from_dict, polynomial_to_dict, tensor_grid
 from .verify import (
     Example4Params,
     GaussianFactor,
@@ -221,19 +221,11 @@ def _load_factor(path, cfg: RunConfig):
         raise _ParseFailure(f"bad factor schema in {path}: {exc}") from exc
 
 
-def _default_grid(dim: int):
-    axis = np.linspace(-4.0, 4.0, 5)
-    if dim == 1:
-        return axis.reshape(-1, 1)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def _cmd_verify_conv(args, cfg: RunConfig) -> int:
     f = _load_pnd(args.f, cfg)
     g1 = _load_factor(args.y, cfg)
     g2 = _load_factor(args.z, cfg)
-    report = convolution_check(f, g1, g2, _default_grid(f.dim))
+    report = convolution_check(f, g1, g2, tensor_grid([np.linspace(-4.0, 4.0, 5)] * f.dim))
     _emit(
         {
             "max_abs_error": report.max_abs_error,

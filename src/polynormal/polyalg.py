@@ -179,10 +179,6 @@ class Polynomial(_Expansion):
         return _canonical(Polynomial, dim, terms, eps)
 
     @staticmethod
-    def zero(dim: int) -> "Polynomial":
-        return Polynomial.from_terms(dim, {})
-
-    @staticmethod
     def constant(dim: int, value: float) -> "Polynomial":
         return Polynomial.from_terms(dim, {(0,) * dim: value})
 

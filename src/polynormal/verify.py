@@ -20,11 +20,11 @@ Three families of checks live here:
   coefficient is cross-checked against a numerical extraction from the
   recomputed polynomial.
 
-* ``biquadratic_factor_probe`` -- multistart least squares over products of
-  two bivariate quadratics; failure to reach a small residual is evidence
-  (not proof) that a quartic does not split into quadratic factors.  The
-  product is one constant bilinear tensor, so the residual and its exact
-  Jacobian are two contractions.
+* ``biquadratic_factor_probe`` -- the scan's local search, from many starts
+  at once, of the least squared coefficient residual of a product of two
+  bivariate quadratics; failure to reach a small residual is evidence (not
+  proof) that a quartic does not split into quadratic factors.  The product
+  is one constant bilinear tensor, so the exact derivatives are contractions.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .charfn import CharFn, inverse_cf_parts, make_charfn
 from .errors import DimensionMismatch, NoWitnessFound
 from .decompose import GaussianFactor
-from .pnd import PND, _build_pnd, _gauss_scale, density_many, gauss_hermite_nodes, make_quadform
+from .pnd import PND, _build_pnd, _gauss_scale, _local_minima, density_many, gauss_hermite_nodes, make_quadform
 from .polyalg import Polynomial
 
 WITNESS_TOL = -1e-10
@@ -272,12 +272,7 @@ def example4_witness_slice(params: Example4Params, n_max: int) -> np.ndarray:
 # -- biquadratic factorization probe -------------------------------------------
 
 _QUAD_EXPS = [(2, 0), (0, 2), (1, 1), (1, 0), (0, 1), (0, 0)]
-_QUARTIC_EXPS = [
-    alpha
-    for alpha in itertools.product(range(5), range(5))
-    if sum(alpha) <= 4
-]
-_QUARTIC_EXPS.sort(key=lambda a: (sum(a), a))
+_QUARTIC_EXPS = sorted((a for a in itertools.product(range(5), range(5)) if sum(a) <= 4), key=lambda a: (sum(a), a))
 _QUARTIC_POS = {alpha: i for i, alpha in enumerate(_QUARTIC_EXPS)}
 
 # _PRODUCT[k, i, j] = 1 where x^e_i x^e_j is quartic monomial k, so the
@@ -288,16 +283,40 @@ _PRODUCT = np.array(
 )
 
 
-def _product_residual(z, target):
-    """Coefficients of the product of the quadratics z[:6] and z[6:], minus target."""
-    return (_PRODUCT @ z[6:]) @ z[:6] - target
+# (z1, z2) -> (c z1, z2 / c) leaves the product unchanged, so a factorization
+# can be balanced, and a balanced one of P lies in the search box of half-width
+# this many times scale = sqrt(max |P coefficient|) (or 1).
+_BOX_SCALES = 64.0
+# The search's step terms (the box's squared diameter times the Hessian) reach
+# about 20 times the jet's rounding bound there, which times this must be finite.
+_OVERFLOW_MARGIN = 2.0**10
 
 
-def _product_jacobian(z, target):
-    """Exact Jacobian of ``_product_residual``: the map is bilinear, so each
-    block is the product tensor contracted with the other factor.  scipy
-    passes the residual's ``target`` here too; the Jacobian does not use it."""
-    return np.hstack([_PRODUCT @ z[6:], z[:6] @ _PRODUCT])
+@dataclass(frozen=True)
+class _SquaredResidual:
+    """F(z) = |r(z)|^2, r(z) the product of the quadratics z[:6] and z[6:] minus
+    the target, with what ``pnd._local_minima`` reads of a polynomial.  r is
+    bilinear: its Jacobian J is ``_PRODUCT`` contracted with either factor and
+    the Hessian of r_k is the constant block ``_PRODUCT[k]``, so the jet is F,
+    2 J'r and 2 (J'J + sum_k r_k Hess r_k), exactly.  r_k rounds by a few ulps
+    of m_k, the sum of its terms' magnitudes: F's rounding bound is 2 |r|.m."""
+
+    target: np.ndarray
+    dim = 12
+
+    def _jet(self, z: np.ndarray):
+        # einsum sums each start's row alone, in one order whatever the batch,
+        # so a start's jet does not depend on it.  J's blocks select entries of z.
+        z1, z2 = z[:, :6], z[:, 6:]
+        d1 = np.einsum("kij,nj->nki", _PRODUCT, z2)
+        jac = np.concatenate([d1, np.einsum("kij,ni->nkj", _PRODUCT, z1)], axis=2)
+        r = np.einsum("nki,ni->nk", d1, z1) - self.target
+        hess = np.einsum("nka,nkb->nab", jac, jac)
+        hess[:, :6, 6:] += np.einsum("nk,kij->nij", r, _PRODUCT)
+        hess[:, 6:, :6] += np.einsum("nk,kij->nji", r, _PRODUCT)
+        m = np.einsum("nki,ni->nk", np.abs(d1), np.abs(z1)) + np.abs(self.target)
+        f, g = np.einsum("nk,nk->n", r, r), np.einsum("nka,nk->na", jac, r)
+        return f, 2.0 * g, 2.0 * hess, 2.0 * np.einsum("nk,nk->n", np.abs(r), m)
 
 
 def _quadratic_from_vector(z) -> Polynomial:
@@ -312,16 +331,14 @@ class ProbeResult:
 
 
 def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) -> ProbeResult:
-    """Multistart least-squares fit of P by a product of two quadratics.
-
-    The residual is coefficient-space: expand the product, subtract P's
-    coefficients over all bivariate exponents of total degree at most 4,
-    and sum the squares.  Each start is one Levenberg-Marquardt search with
-    the residual's exact Jacobian.  Returns the best residual and the
-    factors that achieve it; small residual means a factorization was found,
-    a stubborn floor across many starts is evidence against one.
+    """Multistart fit of P by a product of two quadratics: the lowest sum of
+    squares of the product's coefficients minus P's, over the bivariate
+    exponents of total degree at most 4, and factors that reach it.  The
+    scan's kernel searches all starts at once on that sum (``_SquaredResidual``),
+    each start as if alone.  A small residual means a factorization was found;
+    a stubborn floor across many starts is evidence against one.  A ValueError
+    when P's largest coefficient makes the sum overflow in the search box.
     """
-    from scipy.optimize import least_squares  # scipy loads on first use, not on import
     if P.dim != 2:
         raise DimensionMismatch(f"polynomial must be bivariate, got dim {P.dim}")
     if P.degree > 4:
@@ -331,19 +348,14 @@ def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) ->
     target = np.zeros(len(_QUARTIC_EXPS))
     for alpha, c in P.terms.items():
         target[_QUARTIC_POS[alpha]] = c
-
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, math.sqrt(float(np.abs(target).max())))
-    best_ssq = math.inf
-    best_z = None
-    for _ in range(starts):
-        z0 = rng.standard_normal(12) * scale
-        res = least_squares(
-            _product_residual, z0, jac=_product_jacobian, args=(target,),
-            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
-        )
-        ssq = float(np.sum(res.fun**2))
-        if ssq < best_ssq:
-            best_ssq = ssq
-            best_z = res.x
-    return ProbeResult(best_ssq, _quadratic_from_vector(best_z[:6]), _quadratic_from_vector(best_z[6:]))
+    largest = float(np.abs(target).max())
+    scale = max(1.0, math.sqrt(largest))
+    radius = _BOX_SCALES * scale
+    with np.errstate(over="ignore"):  # m_k is at most its value at the box's corner
+        corner = _PRODUCT.sum(axis=(1, 2)) * radius * radius + np.abs(target)
+        if not math.isfinite(_OVERFLOW_MARGIN * 2.0 * float(corner @ corner)):
+            raise ValueError(f"the largest coefficient, {largest:g}, is too large: the squared residual overflows")
+    z0 = np.random.default_rng(seed).standard_normal((starts, 12)) * scale
+    z, ssq = _local_minima(_SquaredResidual(target), z0, radius)
+    best = int(np.argmin(ssq))
+    return ProbeResult(float(ssq[best]), _quadratic_from_vector(z[best, :6]), _quadratic_from_vector(z[best, 6:]))

@@ -13,10 +13,12 @@ kept as the bit-exact reference for ``pnd._local_minima``, which tests the
 halvings in blocks of doubling width.
 The recursive Horner substitution, one coefficient slice at a time, is kept as
 the bit-exact reference for ``polyalg.affine_substitute``, which substitutes
-every slice of a variable at once.  The biquadratic factor probe whose
-residual summed the 36 coefficient products in a loop, with its Jacobian
-taken by scipy's finite differences, is kept as the reference for
-``verify.biquadratic_factor_probe`` (``test_verify.py``).  The tail radius
+every slice of a variable at once.  The biquadratic factor probe that ran one
+scipy least-squares search per start, its residual summing the 36
+coefficient products in a loop and its Jacobian taken by finite
+differences, is kept as the reference for ``verify.biquadratic_factor_probe``
+(``test_verify.py``), which searches every start at once with the scan's
+local search.  The tail radius
 and the polished infimum grid that called scipy's ``brentq`` and Nelder-Mead
 are kept as the bound that ``positivity``'s search of the infimum, the scan's
 local search run on the ratio, must not exceed, and as the search that

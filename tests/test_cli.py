@@ -293,6 +293,14 @@ def test_probe_without_starts_exits_2(workdir, capsys, starts):
     assert "starts must be at least 1" in capsys.readouterr().err
 
 
+def test_probe_of_a_coefficient_too_large_exits_2(workdir, capsys):
+    # Every start's squared residual would overflow to inf in the search box.
+    P = Polynomial.from_terms(2, {(4, 0): 1e200, (0, 4): 1.0, (0, 0): 1.0})
+    path = _write(workdir / "P.json", polynomial_to_dict(P))
+    assert main(["probe", "--poly", path]) == 2
+    assert "the largest coefficient, 1e+200, is too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-6"])
 def test_decompose_rejects_tolerances_not_finite_and_positive(workdir, capsys, tol):
     path = _write(
@@ -373,21 +381,23 @@ def _scipy_modules_loaded_by(*statements):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # Only the factor probe loads scipy, on first use.
     assert _scipy_modules_loaded_by() == "[]"
 
 
 @pytest.fixture(scope="module")
 def density_commands(tmp_path_factory):
-    """Argument lists of every command but `probe` and `invcharfn`, on the
-    eligible quartic: it reaches the perturbation radius, which the reference
-    density (failing the axis condition) never does."""
+    """Argument lists of every command but `invcharfn`, on the eligible
+    quartic: it reaches the perturbation radius, which the reference density
+    (failing the axis condition) never does.  `probe` reads the Example-4
+    characteristic-function quartic."""
     workdir = tmp_path_factory.mktemp("commands")
     f = _write(workdir / "f.json", _pnd_json(eligible_quartic_poly(), np.eye(2), np.zeros(2)))
     assert main(["--out", str(workdir / "dec.json"), "decompose", "--input", f]) == 0
     dec = json.loads((workdir / "dec.json").read_text())
     y = _write(workdir / "y.json", dec["factor_Y"])
     z = _write(workdir / "z.json", dec["factor_Z"])
+    P = Polynomial.from_terms(2, {(2, 2): 1.0, (1, 1): 2.0, (0, 2): -2.0, (2, 0): -1.0, (0, 0): 3.0})
+    quartic = _write(workdir / "quartic.json", polynomial_to_dict(P))
     out = ["--out", str(workdir / "out.json")]
     return {
         "validate": [*out, "validate", "--input", f],
@@ -396,9 +406,10 @@ def density_commands(tmp_path_factory):
         "decompose": [*out, "decompose", "--input", f],
         "verify-conv": [*out, "verify-conv", "--f", f, "--y", y, "--z", z],
         "example4": [*out, "example4"],
+        "probe": [*out, "probe", "--poly", quartic, "--starts", "20"],
     }
 
 
-@pytest.mark.parametrize("command", ["validate", "charfn", "diagnose", "decompose", "verify-conv", "example4"])
+@pytest.mark.parametrize("command", ["validate", "charfn", "diagnose", "decompose", "verify-conv", "example4", "probe"])
 def test_density_commands_load_no_scipy(density_commands, command):
     assert _scipy_modules_loaded_by(f"assert main({density_commands[command]!r}) == 0") == "[]"

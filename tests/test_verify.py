@@ -7,15 +7,16 @@ import pytest
 
 from polynormal.decompose import GaussianFactor, decompose
 from polynormal.errors import NoWitnessFound
-from polynormal.pnd import make_pnd, make_quadform
+from polynormal.pnd import _local_minima, make_pnd, make_quadform
 from polynormal.polyalg import Polynomial
 from polynormal.verify import (
+    _BOX_SCALES,
     _PRODUCT,
+    _QUARTIC_POS,
     Example4Params,
     _as_pnd,
-    _product_jacobian,
-    _product_residual,
     _quadratic_from_vector,
+    _SquaredResidual,
     biquadratic_factor_probe,
     convolution_check,
     example4_B_exact,
@@ -204,27 +205,53 @@ def _rounding_scale(z, target):
     return (_PRODUCT @ np.abs(z[6:])) @ np.abs(z[:6]) + np.abs(target)
 
 
-def test_product_residual_matches_the_pair_loop():
+def _ssq_ref(z, target):
+    r = product_residual_ref(z, target)
+    return float(r @ r)
+
+
+def test_squared_residual_jet_matches_the_looped_residual():
+    # r is affine in each single coordinate, so F = |r|^2 is quadratic along
+    # each coordinate and in each pair of coordinates separately: central
+    # differences with a unit step give F's gradient and Hessian exactly, up
+    # to rounding.
     rng = np.random.default_rng(23)
-    for _ in range(200):
+    steps = np.eye(12)
+    for _ in range(40):
         z, target = _random_factors(rng)
-        diff = np.abs(_product_residual(z, target) - product_residual_ref(z, target))
-        assert np.all(diff <= 1e-15 * _rounding_scale(z, target))
+        f, g, H, mag = (v[0] for v in _SquaredResidual(target)._jet(z[None, :]))
+        assert abs(f - _ssq_ref(z, target)) <= 4.0 * np.finfo(float).eps * mag
+        fd_g = np.array([(_ssq_ref(z + e, target) - _ssq_ref(z - e, target)) / 2.0 for e in steps])
+        fd_H = np.array([
+            [
+                (
+                    _ssq_ref(z + a + b, target) - _ssq_ref(z + a - b, target)
+                    - _ssq_ref(z - a + b, target) + _ssq_ref(z - a - b, target)
+                ) / 4.0
+                for b in steps
+            ]
+            for a in steps
+        ])
+        scale = float(np.sum(_rounding_scale(np.abs(z) + 2.0, target) ** 2))
+        assert np.max(np.abs(g - fd_g)) <= 1e-14 * scale
+        assert np.max(np.abs(H - fd_H)) <= 1e-14 * scale
 
 
-def test_product_jacobian_matches_central_differences():
-    # The residual is affine in each single coordinate, so a central
-    # difference with any step is exact up to rounding.
-    rng = np.random.default_rng(24)
-    for _ in range(200):
-        z, target = _random_factors(rng)
-        steps = np.eye(12)
-        fd = np.stack(
-            [(product_residual_ref(z + e, target) - product_residual_ref(z - e, target)) / 2.0 for e in steps],
-            axis=1,
-        )
-        scale = max(1.0, float(np.max(_rounding_scale(z, target))))
-        assert np.max(np.abs(_product_jacobian(z, target) - fd)) <= 1e-12 * scale
+@pytest.mark.parametrize("factorable", [False, True], ids=["floor", "product"])
+def test_a_start_searched_alone_gives_its_bits_in_the_batch(factorable):
+    P = _poly2({(2, 2): 1.0, (1, 1): 2.0, (0, 2): -2.0, (2, 0): -1.0, (0, 0): 3.0})
+    if factorable:
+        P = _quadratic_from_vector(np.arange(1.0, 7.0)) * _quadratic_from_vector(np.arange(-3.0, 3.0))
+    target = np.zeros(len(_QUARTIC_POS))
+    for alpha, c in P.terms.items():
+        target[_QUARTIC_POS[alpha]] = c
+    scale = max(1.0, math.sqrt(float(np.abs(target).max())))
+    residual = _SquaredResidual(target)
+    starts = np.random.default_rng(26).standard_normal((50, 12)) * scale
+    points, values = _local_minima(residual, starts, _BOX_SCALES * scale)
+    for start, point, value in zip(starts, points, values):
+        alone_point, alone_value = _local_minima(residual, start[None, :], _BOX_SCALES * scale)
+        assert np.array_equal(alone_point[0], point) and alone_value[0] == value
 
 
 def test_probe_floor_matches_the_reference_probe():
