@@ -10,8 +10,9 @@ in whitened coordinates.  The first factor is again a polynomial-normal
 density as long as the rescaled polynomial stays nonnegative; its
 admissible range is an interval reaching up to theta = 1, so the minimal
 admissible theta is found by bisection.  Each midpoint is decided by
-local polishes from stored witness points, where the rescaled polynomial
-went negative before; global minimum scans run only at the start and to
+the stored witness points, where the rescaled polynomial went negative
+before: by their values when one is still negative, else by local
+polishes from them; global minimum scans run only at the start and to
 confirm the end point, and a confirmation that finds a negative point,
 or a minimum it does not attain, adds it as a witness and runs the
 bisection again.  A split needs an attained, nonnegative gate scan at its
@@ -124,10 +125,12 @@ def theta_floor(
     A global scan at theta = 1 - 1e-9 checks that start and gives the
     first witness point; ``NoAdmissibleTheta`` when it is negative or its
     minimum is not attained (the polynomial may fall below zero outside
-    the box).  A midpoint is inadmissible only when a local
+    the box).  A midpoint is inadmissible only when a stored witness is
+    already below the rescale tolerance there, or, failing that, a local
     polish from a witness (inside the scan budget's box; all witnesses are
-    polished together) reaches a point below the rescale tolerance; the
-    first such point then replaces its witness.
+    polished together) reaches a point below it; the first such point then
+    replaces its witness.  A polish never ends above its start, so a
+    negative witness decides the midpoint as its polish would.
     The bisection's end point is confirmed by one more global scan.  If
     that scan finds a negative point, or a minimum it does not attain, the
     point becomes a witness, every theta up to the end point counts as
@@ -160,7 +163,12 @@ def theta_floor(
     def refuted(theta: float) -> bool:
         if theta <= refuted_at:
             return True
-        points, values = polish_minimum(theta_rescale(h, theta), np.array(witnesses), budget)
+        p_theta, stored = theta_rescale(h, theta), np.array(witnesses)
+        # A polish never ends above its start, so a witness already negative
+        # decides the midpoint as its polish would; it is kept as it is.
+        if (p_theta._jet(stored)[0] < RESCALE_TOL).any():
+            return True
+        points, values = polish_minimum(p_theta, stored, budget)
         below = np.flatnonzero(values < RESCALE_TOL)
         if below.size:
             witnesses[below[0]] = points[below[0]]

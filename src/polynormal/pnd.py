@@ -111,18 +111,21 @@ class SearchBudget:
     """Configuration for multi-start minimization over expanding boxes.
 
     Round k (k = 0..doublings) searches the box [-2**k, 2**k]^d from the
-    origin, the best coarse-grid points (``grid_points`` per axis) and
-    ``starts`` uniform random points (default 2*dim + 1) with
+    origin and ``starts`` uniform random points (default 2*dim + 1) with
     box-constrained Newton searches; the seeds of all rounds are searched
-    in one batch.  Deterministic for a fixed seed.  A malformed field is a
-    ValueError naming it; so is, at scan time, a ``doublings`` whose last
-    box is too wide for the polynomial's degree and dimension (see
+    in one batch.  The coarse grid is opt-in and off by default: with
+    ``grid_points`` >= 2 each round of a scan in d <= 3 also starts from
+    the 3 best points of a grid of ``grid_points`` per axis, which can
+    decide a minimum at small ``doublings`` and ``starts``.  Deterministic
+    for a fixed seed.  A malformed field is a ValueError naming it (a grid
+    of 1 point per axis too); so is, at scan time, a ``doublings`` whose
+    last box is too wide for the polynomial's degree and dimension (see
     ``_last_radius``).
     """
 
     doublings: int = 6
     starts: int | None = None
-    grid_points: int = 5
+    grid_points: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -132,6 +135,8 @@ class SearchBudget:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ValueError(f"SearchBudget.{name} must be a whole number >= 0, got {value!r}")
+        if self.grid_points == 1:
+            raise ValueError("SearchBudget.grid_points must be 0 (no grid) or at least 2, got 1")
 
 
 @dataclass(frozen=True)
@@ -141,13 +146,14 @@ class MinimizationResult:
     attained: bool
 
 
-def _grid_candidates(p: Polynomial, radius: float, per_axis: int, keep: int = 3):
+def _grid_candidates(p: Polynomial, radius: float, per_axis: int, keep: int = 3) -> np.ndarray:
+    """The ``keep`` lowest points of p (a (k, d) array, best first) on the grid
+    of ``per_axis`` points per axis over [-radius, radius]^d; none when the
+    grid is off (``per_axis`` 0) or d > 3."""
     if p.dim > 3 or per_axis < 2:
-        return []
+        return np.empty((0, p.dim))
     pts = tensor_grid([np.linspace(-radius, radius, per_axis)] * p.dim)
-    vals = p.eval_many(pts)
-    order = np.argsort(vals)[:keep]
-    return [pts[i] for i in order]
+    return pts[np.argsort(p.eval_many(pts))[:keep]]
 
 
 # Local searches: projected-gradient tolerance, iteration cap, Armijo
@@ -350,20 +356,17 @@ def polish_minimum(p: Polynomial, starts, budget: SearchBudget):
 
 def _scan_seeds(p, budget: SearchBudget):
     """Every round's seeds (an (n, d) array) and the half-width of each one's
-    box (n,): the origin, the best coarse-grid points of p and the random
-    points, round by round from one generator."""
+    box (n,): per round, the origin, the best coarse-grid points of p (when
+    the budget has a grid) and the random points.  One generator draws the
+    random points of every round in one call, round by round."""
     d = p.dim
-    rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
-    radii = [2.0**k for k in range(budget.doublings + 1)]
-    seeds, sizes = [], []
-    for radius in radii:
-        round_seeds = [np.zeros(d), *_grid_candidates(p, radius, budget.grid_points)]
-        if n_starts > 0:
-            round_seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
-        seeds.extend(round_seeds)
-        sizes.append(len(round_seeds))
-    return np.array(seeds), np.repeat(radii, sizes)
+    radii = 2.0 ** np.arange(budget.doublings + 1)
+    r = radii[:, None, None]
+    draws = np.random.default_rng(budget.seed).uniform(-r, r, size=(radii.size, n_starts, d))
+    grid = np.array([_grid_candidates(p, radius, budget.grid_points) for radius in radii])
+    seeds = np.concatenate([np.zeros((radii.size, 1, d)), grid, draws], axis=1)
+    return seeds.reshape(-1, d), np.repeat(radii, seeds.shape[1])
 
 
 def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:

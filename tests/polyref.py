@@ -8,6 +8,12 @@ reference for the batched local searches of ``polynormal.pnd``
 (``test_local_search.py``), and so is the scan that searched its rounds one
 after another, one batch of local searches per round, as the reference for
 ``pnd.minimize_polynomial``, which searches every round's seeds at once.
+The seeds drawn round by round, one random draw per round, are the
+bit-exact reference for ``pnd._scan_seeds``, which draws every round's
+random points in one call; the theta bisection that polishes from the
+witnesses at every midpoint is the bit-exact reference for
+``decompose.theta_floor``, which refutes a midpoint without a polish when a
+stored witness is already negative there.
 The batched local searches that evaluated one step halving at a time are
 kept as the bit-exact reference for ``pnd._local_minima``, which tests the
 halvings in blocks of doubling width.
@@ -34,6 +40,8 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 from scipy.optimize import minimize as scipy_minimize
 
+from polynormal.decompose import RESCALE_TOL
+from polynormal.errors import NoAdmissibleTheta
 from polynormal.pnd import (
     _ARMIJO,
     _EPS,
@@ -46,8 +54,10 @@ from polynormal.pnd import (
     SearchBudget,
     _grid_candidates,
     _local_minima,
+    minimize_polynomial,
+    polish_minimum,
 )
-from polynormal.polyalg import HermiteCoeffs, Polynomial, tensor_grid
+from polynormal.polyalg import HermiteCoeffs, Polynomial, tensor_grid, theta_rescale
 from polynormal.positivity import _even_degree, leading_axis_coeffs
 from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _quadratic_from_vector
 
@@ -334,6 +344,60 @@ def local_minima_ref(p: Polynomial, starts, radius):
     points[ids], values[ids] = x, f
     return points, values
 
+
+
+def scan_seeds_ref(p, budget: SearchBudget):
+    """``pnd._scan_seeds`` round by round: the origin, the best grid points
+    and one random draw per round, collected as rows."""
+    d = p.dim
+    rng = np.random.default_rng(budget.seed)
+    n_starts = budget.starts if budget.starts is not None else 2 * d + 1
+    radii = [2.0**k for k in range(budget.doublings + 1)]
+    seeds, sizes = [], []
+    for radius in radii:
+        round_seeds = [np.zeros(d), *_grid_candidates(p, radius, budget.grid_points)]
+        if n_starts > 0:
+            round_seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
+        seeds.extend(round_seeds)
+        sizes.append(len(round_seeds))
+    return np.array(seeds), np.repeat(radii, sizes)
+
+
+def theta_floor_ref(h: HermiteCoeffs, tol: float, budget: SearchBudget):
+    """``decompose.theta_floor`` with a polish from the witnesses at every
+    midpoint not refuted by a confirmation scan, even where a stored
+    witness is already negative."""
+    start = 1.0 - 1e-9
+    scan = minimize_polynomial(theta_rescale(h, start), budget)
+    if scan.value < RESCALE_TOL or not scan.attained:
+        raise NoAdmissibleTheta("the start scan is negative or not attained")
+    witnesses = [scan.point]
+    refuted_at = 0.0
+
+    def refuted(theta):
+        if theta <= refuted_at:
+            return True
+        points, values = polish_minimum(theta_rescale(h, theta), np.array(witnesses), budget)
+        below = np.flatnonzero(values < RESCALE_TOL)
+        if below.size:
+            witnesses[below[0]] = points[below[0]]
+        return bool(below.size)
+
+    while True:
+        lo, hi = 0.0, start
+        while hi - lo > tol:
+            mid = 0.5 * (hi + lo)
+            if refuted(mid):
+                lo = mid
+            else:
+                hi = mid
+        if hi == start:
+            return hi
+        scan = minimize_polynomial(theta_rescale(h, hi), budget)
+        if scan.value >= RESCALE_TOL and scan.attained:
+            return hi
+        witnesses.append(scan.point)
+        refuted_at = hi
 
 
 def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:

@@ -29,6 +29,7 @@ from polynormal.polyalg import (
 )
 from polynormal.positivity import check_condition_337, epsilon_bound
 
+import polyref
 from conftest import (
     FAST_BUDGET,
     all_multiindices,
@@ -164,6 +165,33 @@ def test_theta_floor_matches_the_scan_every_midpoint_bisection():
     tol = 1e-6
     for name, h in _reference_cases():
         assert theta_floor(h, tol) == pytest.approx(reference_theta_floor(h, tol), abs=tol), name
+
+
+def test_theta_floor_polishes_no_midpoint_that_a_stored_witness_refutes(monkeypatch):
+    # A midpoint where a stored witness is already below RESCALE_TOL is
+    # refuted without a polish, and the bisection ends on the same bits as
+    # the one that polishes at every midpoint (``polyref``).
+    module = importlib.import_module("polynormal.decompose")
+    polishes, ref_polishes = [], []
+
+    def recording(record, original):
+        def polish(p, starts, budget):
+            record.append(p._jet(np.asarray(starts))[0])
+            return original(p, starts, budget)
+
+        return polish
+
+    monkeypatch.setattr(module, "polish_minimum", recording(polishes, module.polish_minimum))
+    monkeypatch.setattr(polyref, "polish_minimum", recording(ref_polishes, polyref.polish_minimum))
+    budget, tol = SearchBudget(), 1e-6
+    for name, h in _reference_cases():
+        floor = theta_floor(h, tol, budget)
+        ref = polyref.theta_floor_ref(h, tol, budget)
+        assert np.float64(floor).tobytes() == np.float64(ref).tobytes(), name
+    assert polishes and all(np.all(start >= RESCALE_TOL) for start in polishes)
+    # The reference polishes from a negative witness at some midpoints.
+    assert any(np.any(start < RESCALE_TOL) for start in ref_polishes)
+    assert len(polishes) < len(ref_polishes)
 
 
 def test_theta_floor_rejects_nonpositive_input():

@@ -11,7 +11,9 @@ evaluation per block, after one evaluation of every full step when all
 the starts still searching try one; in one dimension the step is taken
 without an eigensolver.  All of it must give exactly the points and
 values of the search that evaluates one halving at a time (``polyref``).
-``pnd.minimize_polynomial`` is one such call on every round's seeds, so it
+``pnd.minimize_polynomial`` is one such call on every round's seeds, drawn
+in one call of the generator and bit for bit those drawn round by round
+(``polyref``), so it
 must equal the scan that searches its rounds one after another
 (``polyref``) exactly, and it must go no higher than the scan with one scipy
 L-BFGS-B search per start, which also restarts each round from the best
@@ -26,11 +28,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynormal import pnd
-from polynormal.pnd import SearchBudget, _local_minima, minimize_polynomial, polish_minimum
+from polynormal.pnd import SearchBudget, _local_minima, _scan_seeds, minimize_polynomial, polish_minimum
 from polynormal.polyalg import Polynomial, theta_rescale
 
-from conftest import FAST_BUDGET, eligible_quartic_poly, example4_poly, polynomials, valley_poly
-from polyref import local_minima_ref, minimize_polynomial_ref, minimize_polynomial_rounds_ref
+from conftest import (
+    FAST_BUDGET,
+    eligible_quartic_poly,
+    example4_poly,
+    polynomials,
+    random_signed_poly,
+    valley_poly,
+)
+from polyref import local_minima_ref, minimize_polynomial_ref, minimize_polynomial_rounds_ref, scan_seeds_ref
 from test_decompose import _reference_cases
 
 FAST = settings(max_examples=40, deadline=None)
@@ -286,9 +295,16 @@ def test_scan_equals_the_round_by_round_scan_on_the_regression_inputs(budget):
 
 
 @pytest.mark.parametrize(
-    "p", [example4_poly(), eligible_quartic_poly()], ids=["best moves", "best at origin"]
+    "p, budget, grid",
+    [
+        (example4_poly(), SearchBudget(), 0),
+        (eligible_quartic_poly(), SearchBudget(), 0),
+        (example4_poly(), SearchBudget(grid_points=5), 3),
+        (eligible_quartic_poly(), SearchBudget(grid_points=5), 3),
+    ],
+    ids=["best moves", "best at origin", "best moves, grid", "best at origin, grid"],
 )
-def test_a_scan_searches_every_rounds_seeds_in_its_first_call(monkeypatch, p):
+def test_a_scan_searches_every_rounds_seeds_in_its_first_call(monkeypatch, p, budget, grid):
     calls = []
     original = pnd._local_minima
 
@@ -297,15 +313,29 @@ def test_a_scan_searches_every_rounds_seeds_in_its_first_call(monkeypatch, p):
         return original(q, starts, radius)
 
     monkeypatch.setattr(pnd, "_local_minima", recording)
-    budget = SearchBudget()
     minimize_polynomial(p, budget)
-    # Per round: the origin, 3 grid points and 2d + 1 random points.
-    per_round = 1 + 3 + 2 * p.dim + 1
+    # Per round: the origin, the grid's best points (none by default) and
+    # 2d + 1 random points.
+    per_round = 1 + grid + 2 * p.dim + 1
     radii = 2.0 ** np.arange(budget.doublings + 1)
     assert len(calls) == 1
     rows, call_radii = calls[0]
     assert rows == (budget.doublings + 1) * per_round
     assert np.array_equal(call_radii, np.repeat(radii, per_round))
+
+
+@pytest.mark.parametrize("grid_points", [0, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scan_seeds_equal_the_seeds_drawn_round_by_round(d, grid_points):
+    p = random_signed_poly(np.random.default_rng(d), d, 4)
+    for starts in (None, 0, 3):
+        for doublings in (0, 3, 6):
+            for seed in range(5):
+                budget = SearchBudget(doublings=doublings, starts=starts, grid_points=grid_points, seed=seed)
+                seeds, radii = _scan_seeds(p, budget)
+                ref_seeds, ref_radii = scan_seeds_ref(p, budget)
+                assert seeds.shape == ref_seeds.shape and seeds.tobytes() == ref_seeds.tobytes(), budget
+                assert radii.dtype == ref_radii.dtype and radii.tobytes() == ref_radii.tobytes(), budget
 
 
 @pytest.mark.parametrize("power", [1, 2])

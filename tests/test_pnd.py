@@ -253,6 +253,7 @@ def test_budget_is_deterministic(example4_pnd):
         ("doublings", True),
         ("starts", -2),
         ("grid_points", -3),
+        ("grid_points", 1),
         ("seed", -1),
         ("seed", 1.5),
     ],
