@@ -59,6 +59,7 @@ from .decompose import (
     Decomposition,
     Diagnosis,
     GaussianFactor,
+    ThetaFloor,
     VERDICT_ELIGIBLE,
     VERDICT_FAILS_CONDITION_337,
     VERDICT_HAS_REAL_ZERO,

@@ -8,15 +8,17 @@ split the characteristic function
 
 in whitened coordinates.  The first factor is again a polynomial-normal
 density as long as the rescaled polynomial stays nonnegative; its
-admissible range is an interval reaching up to theta = 1, so the minimal
+admissible range is an interval reaching up to theta = 1 (a larger theta
+adds an independent Gaussian to the first factor), so the minimal
 admissible theta is found by bisection.  Each midpoint is decided by
 the stored witness points, where the rescaled polynomial went negative
 before: by their values when one is still negative, else by local
 polishes from them; global minimum scans run only at the start and to
-confirm the end point, and a confirmation that finds a negative point,
-or a minimum it does not attain, adds it as a witness and runs the
-bisection again.  A split needs an attained, nonnegative gate scan at its
-theta.
+confirm the theta the split takes, the bisection's end point plus its
+tolerance.  A confirmation that finds a negative point, or a minimum it
+does not attain, adds it as a witness and runs the bisection again.  A
+split needs an attained, nonnegative gate scan at its theta: with no
+explicit theta, that is the search's confirmation, and no scan repeats it.
 
 The reported theta_floor is the minimal isotropic-whitened theta found by
 this search, not a claim about every conceivable factorization.
@@ -32,6 +34,7 @@ from .charfn import cf_multiply, forward_cf, gaussian_cf
 from .errors import NoAdmissibleTheta, NotEligible, ThetaInadmissible
 from .pnd import (
     PND,
+    MinimizationResult,
     SearchBudget,
     _build_pnd,
     find_min_poly,
@@ -39,7 +42,7 @@ from .pnd import (
     pnd_to_dict,
     polish_minimum,
 )
-from .polyalg import HermiteCoeffs, affine_substitute, theta_rescale
+from .polyalg import HermiteCoeffs, Polynomial, affine_substitute, theta_rescale
 from .positivity import PositivityReport, epsilon_bound, report_to_dict
 
 VERDICT_HAS_REAL_ZERO = "HasRealZero"
@@ -75,6 +78,20 @@ class Diagnosis:
 class GaussianFactor:
     mean: np.ndarray
     cov: np.ndarray
+
+
+@dataclass(frozen=True)
+class ThetaFloor:
+    """Outcome of ``theta_floor``: the floor, the theta a split takes
+    (floor + tol), and the rescaled polynomial at that theta with the
+    attained, nonnegative global scan that confirmed it, or None for both
+    when no scan was made there (theta >= 1, the search ending at its
+    start, or a constant polynomial)."""
+
+    floor: float
+    theta: float
+    p_theta: Polynomial | None
+    scan: MinimizationResult | None
 
 
 @dataclass(frozen=True)
@@ -115,12 +132,13 @@ def theta_floor(
     h: HermiteCoeffs,
     tol: float = DEFAULT_THETA_TOL,
     budget: SearchBudget | None = None,
-) -> float:
-    """Smallest admissible theta found by bisection, to absolute tolerance tol.
+) -> ThetaFloor:
+    """Smallest admissible theta found by bisection, to absolute tolerance
+    tol, with the theta a split takes, floor + tol, confirmed by a global scan.
 
     Admissible means the theta-rescaled polynomial scans no lower than the
     rescale tolerance.  Admissibility near 1 is guaranteed for eligible
-    inputs, so the returned value is at most any workable theta below 1.
+    inputs, so the returned floor is at most any workable theta below 1.
 
     A global scan at theta = 1 - 1e-9 checks that start and gives the
     first witness point; ``NoAdmissibleTheta`` when it is negative or its
@@ -131,21 +149,25 @@ def theta_floor(
     polished together) reaches a point below it; the first such point then
     replaces its witness.  A polish never ends above its start, so a
     negative witness decides the midpoint as its polish would.
-    The bisection's end point is confirmed by one more global scan.  If
-    that scan finds a negative point, or a minimum it does not attain, the
-    point becomes a witness, every theta up to the end point counts as
-    inadmissible, and the bisection runs again from the start; where
-    polishes and scans agree, it takes the midpoints of a bisection that
-    scans every one.  So the returned theta is always confirmed by an
-    attained, nonnegative global scan, and unless the search ran down to 0,
-    a theta at most tol below it has an explicit negative point or a scan
-    whose minimum is not attained.
+    The bisection's end point, plus tol, is confirmed by one more global
+    scan, the gate scan of ``decompose``.  If that scan finds a negative
+    point, or a minimum it does not attain, the point becomes a witness,
+    every theta up to the end point counts as inadmissible, and the
+    bisection runs again from the start; where polishes and scans agree,
+    it takes the midpoints of a bisection that scans every one.  So
+    floor + tol is confirmed by an attained, nonnegative global scan (the
+    floor itself is not scanned), and unless the search ran down to 0, a
+    theta at most tol below the floor has an explicit negative point or a
+    scan whose minimum is not attained.  No confirmation runs when
+    floor + tol >= 1, where no split is possible, or when the bisection
+    ends at its start, which its own scan confirms; nor for a constant
+    polynomial, whose floor is tol.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     budget = budget or SearchBudget()
     if h.degree == 0:
-        return tol
+        return ThetaFloor(tol, tol + tol, None, None)
     start = 1.0 - 1e-9
     scan = minimize_polynomial(theta_rescale(h, start), budget)
     if scan.value < RESCALE_TOL:
@@ -166,9 +188,10 @@ def theta_floor(
         p_theta, stored = theta_rescale(h, theta), np.array(witnesses)
         # A polish never ends above its start, so a witness already negative
         # decides the midpoint as its polish would; it is kept as it is.
-        if (p_theta._jet(stored)[0] < RESCALE_TOL).any():
+        jet = p_theta._jet(stored)
+        if (jet[0] < RESCALE_TOL).any():
             return True
-        points, values = polish_minimum(p_theta, stored, budget)
+        points, values = polish_minimum(p_theta, stored, budget, _start_jet=jet)
         below = np.flatnonzero(values < RESCALE_TOL)
         if below.size:
             witnesses[below[0]] = points[below[0]]
@@ -182,11 +205,13 @@ def theta_floor(
                 lo = mid
             else:
                 hi = mid
-        if hi == start:
-            return hi
-        scan = minimize_polynomial(theta_rescale(h, hi), budget)
+        theta = hi + tol
+        if hi == start or theta >= 1.0:
+            return ThetaFloor(hi, theta, None, None)
+        p_theta = theta_rescale(h, theta)
+        scan = minimize_polynomial(p_theta, budget)
         if scan.value >= RESCALE_TOL and scan.attained:
-            return hi
+            return ThetaFloor(hi, theta, p_theta, scan)
         witnesses.append(scan.point)
         refuted_at = hi
 
@@ -203,21 +228,26 @@ def decompose(
     the result carries that diagnosis.  With no explicit theta, picks
     theta_floor + tol; ``NoAdmissibleTheta`` if that is not below 1.  Every
     scan uses ``budget``; ``ThetaInadmissible`` unless the one at theta is
-    attained and no lower than ``RESCALE_TOL``.  The shift lands in the
-    Gaussian factor; factor_Y is centered.
+    attained and no lower than ``RESCALE_TOL``.  That gate scan is the
+    theta search's confirmation when the search made one at theta, and a
+    scan of its own otherwise (always for an explicit theta).  The shift
+    lands in the Gaussian factor; factor_Y is centered.
     """
     budget = budget or SearchBudget()
     diag = precheck(pnd, budget)
     if diag.verdict != VERDICT_ELIGIBLE:
         raise NotEligible(diag)
+    p_theta = scan = None
     if theta is None:
-        theta = theta_floor(pnd.hermite, tol, budget) + tol
+        found = theta_floor(pnd.hermite, tol, budget)
+        theta, p_theta, scan = found.theta, found.p_theta, found.scan
         if theta >= 1.0:
             raise NoAdmissibleTheta(f"no theta below 1 found admissible at tolerance {tol:g}")
     elif not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    p_theta = theta_rescale(pnd.hermite, theta)
-    scan = minimize_polynomial(p_theta, budget)
+    if scan is None:
+        p_theta = theta_rescale(pnd.hermite, theta)
+        scan = minimize_polynomial(p_theta, budget)
     if scan.value < RESCALE_TOL or not scan.attained:
         raise ThetaInadmissible(scan.value, scan.point, negative=scan.value < RESCALE_TOL)
     L = pnd.form.whitener

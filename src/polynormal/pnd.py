@@ -17,6 +17,7 @@ seeds of every round, each start in its own round's box.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -90,7 +91,8 @@ class PND:
     ``scan`` is the (budget, result) of the minimum scan of ``poly`` that
     validated it, or None; ``find_min_poly`` reuses it for the same budget.
     ``whitened`` is norm_const * p(L u + b) and ``hermite`` its Hermite
-    coefficients (the beta_a of the characteristic function).
+    coefficients (the beta_a of the characteristic function), expanded when
+    first read: a density that is only validated never needs them.
     """
 
     poly: Polynomial
@@ -99,11 +101,14 @@ class PND:
     norm_const: float
     scan: tuple | None = field(compare=False, repr=False)
     whitened: Polynomial = field(compare=False, repr=False)
-    hermite: HermiteCoeffs = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.form.dim
+
+    @functools.cached_property
+    def hermite(self) -> HermiteCoeffs:
+        return to_hermite(self.whitened)
 
 
 @dataclass(frozen=True)
@@ -175,11 +180,13 @@ def _clip(a, lo, hi):
     return np.minimum(np.maximum(a, lo), hi)
 
 
-def _local_minima(p: Polynomial, starts, radius):
+def _local_minima(p: Polynomial, starts, radius, start_jet=None):
     """Local minima (points (n, d), values (n,)) of p from each of n starts,
     all searched at once, each inside its box [-r, r]^d, where r is
     ``radius``: one half-width for every start, or an (n,) array of one per
-    start.
+    start.  ``start_jet``, when given, is ``p._jet(starts)``, already
+    computed by the caller; it is read (not changed) when the starts lie in
+    their boxes, and evaluated again otherwise.
 
     Projected Newton (Bertsekas, SIAM J. Control Optim. 1982).  Coordinates
     that the gradient pushes out of the box and that lie within
@@ -207,10 +214,14 @@ def _local_minima(p: Polynomial, starts, radius):
     is above that at the start (clipped into its box).
     """
     d = p.dim
-    x = np.asarray(starts, dtype=float).reshape(-1, d)
-    rad = np.full(len(x), radius, dtype=float)
-    x = _clip(x, -rad[:, None], rad[:, None])
-    f, g, H, mag = p._jet(x)
+    given = np.asarray(starts, dtype=float).reshape(-1, d)
+    rad = np.full(len(given), radius, dtype=float)
+    x = _clip(given, -rad[:, None], rad[:, None])
+    if start_jet is not None and np.array_equal(x, given):
+        # The search updates its jet in place.
+        f, g, H, mag = (a.copy() for a in start_jet)
+    else:
+        f, g, H, mag = p._jet(x)
     points, values = x.copy(), f.copy()
     # The starts still searching; x, f, g, H, mag and the box arrays are theirs.
     ids = np.arange(len(x))
@@ -225,11 +236,15 @@ def _local_minima(p: Polynomial, starts, radius):
     for _ in range(_MAX_ITER):
         if ids.size == 0:
             break
-        pg = np.abs(x - _clip(x - g, lo, hi)).max(axis=1)
+        pg = np.abs(x - _clip(x - g, lo, hi))
+        pg = pg[:, 0] if d == 1 else pg.max(axis=1)
         gap = hi - np.abs(x)
-        held = (gap <= np.minimum(hold_gap, pg)[:, None]) & (x * g < 0.0)
-        free, gf, Hf, snap = ~held, g, H, 0.0
+        held = gap <= np.minimum(hold_gap, pg)[:, None]
         any_held = held.any()
+        if any_held:  # only near a bound does the gradient's direction matter
+            held &= x * g < 0.0
+            any_held = held.any()
+        free, gf, Hf, snap = ~held, g, H, 0.0
         if any_held:
             gf = g * free
             Hf = H * (free[:, :, None] & free[:, None, :]) + eye * held[:, None, :]
@@ -250,7 +265,9 @@ def _local_minima(p: Polynomial, starts, radius):
         if any_held:
             step = step * free + np.copysign(reach[:, None], x) * held
         err = (4.0 * _EPS) * mag
-        settled = (pg <= _GTOL) | (0.5 * gain + snap <= err)
+        # The terms snap, bend and floor are left out where they are 0.0:
+        # adding +0.0 changes no comparison.
+        settled = (pg <= _GTOL) | ((0.5 * gain + snap if any_held else 0.5 * gain) <= err)
         # Where settled with negative curvature, step along the eigenvector
         # (downhill, or into the box where level) as far as the box allows;
         # the decrease must beat rounding.
@@ -270,7 +287,11 @@ def _local_minima(p: Polynomial, starts, radius):
             # The full step for every start: the block k = 0, with alpha = 1 left out.
             trial = _clip(x + step, lo, hi)
             ft, gt, Ht, mt = p._jet(trial)
-            stepped = ft <= f - (_ARMIJO * (gain + bend + snap) + floor)
+            need = gain + bend if any_turn else gain
+            if any_held:
+                need = need + snap
+            need = _ARMIJO * need + floor if any_turn else _ARMIJO * need
+            stepped = ft <= f - need
             if stepped.all():
                 x, f, g, H, mag = trial, ft, gt, Ht, mt
                 continue
@@ -291,11 +312,12 @@ def _local_minima(p: Polynomial, starts, radius):
                 x[trying, None] + alpha[:, None] * step[trying, None], lo[trying, None], hi[trying, None]
             ).reshape(-1, d)
             ft, gt, Ht, mt = p._jet(trial)
-            need = _ARMIJO * (
-                alpha * gain[trying, None]
-                + squares[first:last] * (bend[trying, None] if any_turn else bend)
-                + (snap[trying, None] if any_held else snap)
-            ) + (floor[trying, None] if any_turn else floor)
+            need = alpha * gain[trying, None]
+            if any_turn:
+                need = need + squares[first:last] * bend[trying, None]
+            if any_held:
+                need = need + snap[trying, None]
+            need = _ARMIJO * need + floor[trying, None] if any_turn else _ARMIJO * need
             passed = ft.reshape(trying.size, -1) <= f[trying, None] - need
             if cap is not None:
                 passed &= np.arange(first, last) < cap[:, None]
@@ -343,15 +365,16 @@ def _last_radius(p: Polynomial, budget: SearchBudget) -> float:
     return radius
 
 
-def polish_minimum(p: Polynomial, starts, budget: SearchBudget):
+def polish_minimum(p: Polynomial, starts, budget: SearchBudget, _start_jet=None):
     """Local minima (points (n, d), values (n,)) of p from an (n, d) array of
     starts, inside the box of the budget's last scan round.
 
     The box matters when p is unbounded below: an unbounded descent runs
     off to points so large that rounding in the monomial evaluation makes
-    a nonnegative polynomial read negative there.
+    a nonnegative polynomial read negative there.  ``_start_jet`` is
+    ``p._jet(starts)`` when the caller has it (see ``_local_minima``).
     """
-    return _local_minima(p, starts, _last_radius(p, budget))
+    return _local_minima(p, starts, _last_radius(p, budget), _start_jet)
 
 
 def _scan_seeds(p, budget: SearchBudget):
@@ -418,7 +441,8 @@ def _build_pnd(p: Polynomial, A, b, budget: SearchBudget | None) -> PND:
     """``make_pnd``'s checks and normalization; with budget None, no scan.
 
     Skipping the scan is only for callers that have already gated the
-    nonnegativity of p themselves.  The whitening made for beta_0 is kept (``PND.whitened``).
+    nonnegativity of p themselves.  The whitening made for beta_0 is kept
+    (``PND.whitened``); its Hermite coefficients are left to ``PND.hermite``.
     """
     form = make_quadform(A)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -442,7 +466,7 @@ def _build_pnd(p: Polynomial, A, b, budget: SearchBudget | None) -> PND:
     b.setflags(write=False)
     norm_const = 1.0 / beta0
     whitened = norm_const * whitened
-    return PND(p, form, b, norm_const, scan, whitened, to_hermite(whitened))
+    return PND(p, form, b, norm_const, scan, whitened)
 
 
 def _gauss_scale(pnd: PND) -> float:

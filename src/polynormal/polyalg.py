@@ -268,18 +268,31 @@ class Polynomial(_Expansion):
         table = (x[..., None] ** powers).reshape(x.shape[:-1] + (-1,))
         return table[..., positions].prod(axis=-1)
 
+    @functools.cached_property
+    def _jet_plan(self):
+        """What ``_jet`` reads of the evaluation table: the powers, each axis's
+        gather positions (one array per axis), the coefficient rows, |row 0|
+        and the rows of the second partials."""
+        powers, positions, rows = self._eval_table
+        return powers, tuple(np.ascontiguousarray(positions.T)), rows, np.abs(rows[0]), _hessian_rows(self.dim)
+
     def _jet(self, pts: np.ndarray):
         """Values (n,), gradients (n, dim), Hessians (n, dim, dim) and the sums of
         the terms' magnitudes (n,), which bound the rounding of the values, at
-        an (n, dim) array of points."""
-        d = self.dim
-        mono = self._monomials(pts)
-        rows = self._eval_table[2]
+        an (n, dim) float array of points (not checked, unlike ``eval_many``).
+
+        The monomials are those of ``_monomials``, bit for bit: the product of
+        one gathered power per axis, taken axis by axis from the first."""
+        powers, axes, rows, magnitude, hessian = self._jet_plan
+        table = (pts[:, :, None] ** powers).reshape(len(pts), -1)
+        mono = table[:, axes[0]]
+        for positions in axes[1:]:
+            mono = mono * table[:, positions]
         # einsum sums each point's row alone, in one order whatever the batch
         # (a BLAS product does not), so a point's result does not depend on it.
         out = np.einsum("nk,rk->nr", mono, rows)
-        mag = np.einsum("nk,k->n", np.abs(mono), np.abs(rows[0]))
-        return out[:, 0], out[:, 1:d + 1], out[:, _hessian_rows(d)], mag
+        mag = np.einsum("nk,k->n", np.abs(mono), magnitude)
+        return out[:, 0], out[:, 1:self.dim + 1], out[:, hessian], mag
 
     def eval(self, x) -> float:
         """Evaluate at a single point of R^dim."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polynormal import Example4Params, SearchBudget, make_pnd
 from polynormal import pnd as pnd_module
-from polynormal.polyalg import Polynomial, affine_substitute
+from polynormal.polyalg import Polynomial, affine_substitute, to_hermite
 from polynormal.verify import validate_example4_params
 
 # Small budget for tests that construct many densities whose positivity is
@@ -73,6 +73,19 @@ def substitution_calls(monkeypatch):
         return affine_substitute(p, M, c)
 
     _replace_everywhere(monkeypatch, affine_substitute, recording)
+    return calls
+
+
+@pytest.fixture
+def hermite_calls(monkeypatch):
+    """Polynomials passed to ``to_hermite``."""
+    calls = []
+
+    def recording(p):
+        calls.append(p)
+        return to_hermite(p)
+
+    _replace_everywhere(monkeypatch, to_hermite, recording)
     return calls
 
 

@@ -16,7 +16,9 @@ witnesses at every midpoint is the bit-exact reference for
 stored witness is already negative there.
 The batched local searches that evaluated one step halving at a time are
 kept as the bit-exact reference for ``pnd._local_minima``, which tests the
-halvings in blocks of doubling width.
+halvings in blocks of doubling width.  The jet that multiplied each
+monomial's gathered powers with ``prod`` is the bit-exact reference for
+``Polynomial._jet``, which multiplies them axis by axis from a cached plan.
 The recursive Horner substitution, one coefficient slice at a time, is kept as
 the bit-exact reference for ``polyalg.affine_substitute``, which substitutes
 every slice of a variable at once.  The biquadratic factor probe that ran one
@@ -57,7 +59,7 @@ from polynormal.pnd import (
     minimize_polynomial,
     polish_minimum,
 )
-from polynormal.polyalg import HermiteCoeffs, Polynomial, tensor_grid, theta_rescale
+from polynormal.polyalg import HermiteCoeffs, Polynomial, _hessian_rows, tensor_grid, theta_rescale
 from polynormal.positivity import _even_degree, leading_axis_coeffs
 from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _quadratic_from_vector
 
@@ -103,6 +105,17 @@ def eval_ref(p: Polynomial, x) -> float:
                 v *= xi**ai
         total += v
     return total
+
+
+def jet_ref(p: Polynomial, pts: np.ndarray):
+    """``Polynomial._jet`` on the gathered monomials of ``_monomials``, multiplied
+    by ``prod`` over the axes: the bit-exact reference for the jet that reads
+    a cached plan and multiplies the axes' gathered powers in turn."""
+    mono = p._monomials(pts)
+    rows = p._eval_table[2]
+    out = np.einsum("nk,rk->nr", mono, rows)
+    mag = np.einsum("nk,k->n", np.abs(mono), np.abs(rows[0]))
+    return out[:, 0], out[:, 1:p.dim + 1], out[:, _hessian_rows(p.dim)], mag
 
 
 def grad_eval_ref(p: Polynomial, x) -> np.ndarray:

@@ -105,7 +105,7 @@ def test_criterion_3_1d_decomposition_oracle():
     """theta floor at sqrt(1/2) and an exact convolution of the factors."""
     pnd = make_pnd(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0])
     h = pnd.hermite
-    floor = theta_floor(h, tol=1e-6)
+    floor = theta_floor(h, tol=1e-6).floor
     floor_err = abs(floor - math.sqrt(0.5))
     dec = decompose(pnd, theta=floor)
     report = convolution_check(pnd, dec.factor_Y, dec.factor_Z, np.linspace(-4.0, 4.0, 21))

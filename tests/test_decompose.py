@@ -1,6 +1,7 @@
 """Precheck, theta search, and the Gaussian-factor split."""
 
 import importlib
+import json
 import math
 import sys
 
@@ -13,6 +14,7 @@ from polynormal.decompose import (
     VERDICT_FAILS_CONDITION_337,
     VERDICT_HAS_REAL_ZERO,
     decompose,
+    decomposition_to_dict,
     diagnosis_to_dict,
     precheck,
     theta_floor,
@@ -82,19 +84,19 @@ def test_precheck_eligible_quartic():
 
 def test_theta_floor_closed_form():
     h = HermiteCoeffs.from_coeffs(1, {(2,): 0.5, (0,): 1.0})  # (x^2 + 1)/2
-    floor = theta_floor(h, tol=1e-6)
+    floor = theta_floor(h, tol=1e-6).floor
     assert floor == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
 
 def test_theta_floor_constant_returns_tol():
     h = HermiteCoeffs.from_coeffs(2, {(0, 0): 1.0})
-    assert theta_floor(h, tol=1e-4) == pytest.approx(1e-4, abs=1e-12)
+    assert theta_floor(h, tol=1e-4).floor == pytest.approx(1e-4, abs=1e-12)
 
 
 def test_theta_floor_eligible_quartic_regression():
     pnd = make_pnd(eligible_quartic_poly(), np.eye(2), np.zeros(2))
     h = pnd.hermite
-    floor = theta_floor(h, tol=1e-6)
+    floor = theta_floor(h, tol=1e-6).floor
     assert 0.0 < floor < 1.0
     assert minimize_polynomial(theta_rescale(h, floor), FAST_BUDGET).value >= -1e-12
     # regression pin from the first verified run of the bisection
@@ -144,7 +146,7 @@ def test_theta_floor_rotated_oracle():
     # rounding alone, and the answer lands near 0.86 instead of 0.816.
     pnd = rotated_oracle_pnd()
     assert precheck(pnd).verdict == VERDICT_ELIGIBLE
-    floor = theta_floor(pnd.hermite, tol=1e-6)
+    floor = theta_floor(pnd.hermite, tol=1e-6).floor
     assert floor == pytest.approx(1.0 / math.sqrt(1.5), abs=1e-6)
 
 
@@ -164,7 +166,7 @@ def _reference_cases():
 def test_theta_floor_matches_the_scan_every_midpoint_bisection():
     tol = 1e-6
     for name, h in _reference_cases():
-        assert theta_floor(h, tol) == pytest.approx(reference_theta_floor(h, tol), abs=tol), name
+        assert theta_floor(h, tol).floor == pytest.approx(reference_theta_floor(h, tol), abs=tol), name
 
 
 def test_theta_floor_polishes_no_midpoint_that_a_stored_witness_refutes(monkeypatch):
@@ -175,9 +177,9 @@ def test_theta_floor_polishes_no_midpoint_that_a_stored_witness_refutes(monkeypa
     polishes, ref_polishes = [], []
 
     def recording(record, original):
-        def polish(p, starts, budget):
+        def polish(p, starts, budget, **start_jet):
             record.append(p._jet(np.asarray(starts))[0])
-            return original(p, starts, budget)
+            return original(p, starts, budget, **start_jet)
 
         return polish
 
@@ -185,7 +187,7 @@ def test_theta_floor_polishes_no_midpoint_that_a_stored_witness_refutes(monkeypa
     monkeypatch.setattr(polyref, "polish_minimum", recording(ref_polishes, polyref.polish_minimum))
     budget, tol = SearchBudget(), 1e-6
     for name, h in _reference_cases():
-        floor = theta_floor(h, tol, budget)
+        floor = theta_floor(h, tol, budget).floor
         ref = polyref.theta_floor_ref(h, tol, budget)
         assert np.float64(floor).tobytes() == np.float64(ref).tobytes(), name
     assert polishes and all(np.all(start >= RESCALE_TOL) for start in polishes)
@@ -230,11 +232,77 @@ def test_theta_floor_replays_after_a_confirmation_not_attained(monkeypatch):
     monkeypatch.setattr(module, "minimize_polynomial", unattained_once)
     h = HermiteCoeffs.from_coeffs(1, {(2,): 0.5, (0,): 1.0})  # floor sqrt(1/2)
     tol = 1e-6
-    replayed = theta_floor(h, tol)
+    replayed = theta_floor(h, tol).floor
     assert len(scans) == 3
     monkeypatch.undo()
-    floor = theta_floor(h, tol)
+    floor = theta_floor(h, tol).floor
     assert floor < replayed <= floor + 2 * tol
+
+
+def test_decompose_gates_on_the_theta_searchs_confirmation(scan_calls):
+    # The start scan and the confirmation at floor + tol, which is the gate:
+    # no third scan at the theta of the split.
+    pnd, tol = rotated_oracle_pnd(), 1e-6
+    scan_calls.clear()
+    dec = decompose(pnd, tol=tol)
+    assert len(scan_calls) == 2
+    found = theta_floor(pnd.hermite, tol)
+    assert len(scan_calls) == 4  # no replay: a confirmation that failed would add one
+    assert dec.theta == found.theta == found.floor + tol
+    assert dec.theta == pytest.approx(1.0 / math.sqrt(1.5), abs=2 * tol)
+    assert scan_calls[1].terms.dense().tobytes() == theta_rescale(pnd.hermite, dec.theta).terms.dense().tobytes()
+
+
+@pytest.mark.parametrize("name", ["rotated oracle", "eligible quartic", "desk quartic"])
+def test_a_split_on_the_confirmation_equals_a_split_on_a_fresh_gate_scan(name):
+    pnd = {
+        "rotated oracle": rotated_oracle_pnd,
+        "eligible quartic": lambda: make_pnd(eligible_quartic_poly(), np.eye(2), np.zeros(2)),
+        "desk quartic": lambda: make_pnd(desk_quartic_poly(), np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.2, -0.1])),
+    }[name]()
+    dec = decompose(pnd, tol=1e-6)
+    fresh = minimize_polynomial(theta_rescale(pnd.hermite, dec.theta), SearchBudget())
+    assert np.float64(dec.min_p_theta).tobytes() == np.float64(fresh.value).tobytes()
+    # An explicit theta is gated by a scan of its own.
+    again = decompose(pnd, theta=dec.theta)
+    assert json.dumps(decomposition_to_dict(again)) == json.dumps(decomposition_to_dict(dec))
+    assert np.float64(again.factor_Y.norm_const).tobytes() == np.float64(dec.factor_Y.norm_const).tobytes()
+
+
+def test_an_explicit_theta_is_gated_by_its_own_scan(scan_calls):
+    pnd = make_pnd(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0])
+    scan_calls.clear()
+    decompose(pnd, theta=0.8)
+    assert len(scan_calls) == 1
+    with pytest.raises(ThetaInadmissible):
+        decompose(pnd, theta=0.5)  # below the sqrt(1/2) floor
+    assert len(scan_calls) == 2
+
+
+def _near_one_floor_pnd(c):
+    """x^2 + c: the floor of its theta search is 1 / sqrt(1 + c)."""
+    return make_pnd(Polynomial.from_terms(1, {(2,): 1.0, (0,): c}), [[1.0]], [0.0])
+
+
+@pytest.mark.parametrize(
+    "c, tol, ends_at_start",
+    [(3e-9, 1e-6, True), (3e-3, 1e-3, False)],
+    ids=["bisection ends at its start", "floor + tol at least 1"],
+)
+def test_no_confirmation_where_no_split_is_possible(scan_calls, c, tol, ends_at_start):
+    # Only the start scan runs: floor + tol >= 1, so no theta below 1 is left
+    # to confirm, and decompose refuses as before.
+    pnd = _near_one_floor_pnd(c)
+    assert precheck(pnd).verdict == VERDICT_ELIGIBLE
+    scan_calls.clear()
+    found = theta_floor(pnd.hermite, tol)
+    assert len(scan_calls) == 1
+    assert (found.floor == 1.0 - 1e-9) == ends_at_start
+    assert found.floor < 1.0 <= found.theta == found.floor + tol
+    assert found.p_theta is None and found.scan is None
+    assert found.floor == pytest.approx(1.0 / math.sqrt(1.0 + c), abs=tol)
+    with pytest.raises(NoAdmissibleTheta):
+        decompose(pnd, tol=tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
@@ -381,7 +449,9 @@ def test_monotone_admissibility_on_random_eligible_polys():
         p = _random_eligible_poly(rng)
         pnd = make_pnd(p, np.eye(2), np.zeros(2), FAST_BUDGET)
         h = pnd.hermite
-        floor = theta_floor(h, tol=1e-3, budget=probe)
-        assert 0.0 < floor < 1.0
-        for theta in np.linspace(floor, 1.0 - 1e-9, 5):
+        found = theta_floor(h, tol=1e-3, budget=probe)
+        assert 0.0 < found.floor < found.theta == found.floor + 1e-3 < 1.0
+        # A global scan confirms floor + tol, not the floor: at rng 17 the
+        # probe budget scans -5.4e-4 at the floor 0.9160156.
+        for theta in np.linspace(found.theta, 1.0 - 1e-9, 5):
             assert minimize_polynomial(theta_rescale(h, theta), probe).value >= -1e-9

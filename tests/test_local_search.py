@@ -219,6 +219,28 @@ def _jet_sizes(monkeypatch, p, starts, radius, search=_local_minima):
     return sizes
 
 
+def test_a_polish_from_the_callers_jet_equals_one_that_evaluates_it(monkeypatch):
+    # The theta search hands its witnesses' jet to the polish.  Inside the
+    # box it is read, not evaluated again, and left as it was; a start
+    # outside the box is clipped, and then the jet is evaluated afresh.
+    rng = np.random.default_rng(11)
+    radius = 2.0**FAST_BUDGET.doublings
+    for name, p in _regression_polynomials():
+        inside = rng.uniform(-radius, radius, size=(5, p.dim))
+        outside = np.vstack([inside, np.full(p.dim, 2.0 * radius)])
+        for starts, saved in ((inside, 1), (outside, 0)):
+            jet = p._jet(starts)
+            kept = [a.copy() for a in jet]
+            pts, vals = polish_minimum(p, starts, FAST_BUDGET, _start_jet=jet)
+            ref_pts, ref_vals = polish_minimum(p, starts, FAST_BUDGET)
+            assert pts.tobytes() == ref_pts.tobytes() and vals.tobytes() == ref_vals.tobytes(), name
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(jet, kept)), name
+            from_jet = _jet_sizes(
+                monkeypatch, p, starts, FAST_BUDGET, search=lambda q, s, b: polish_minimum(q, s, b, _start_jet=jet)
+            )
+            assert len(from_jet) == len(_jet_sizes(monkeypatch, p, starts, FAST_BUDGET, search=polish_minimum)) - saved
+
+
 def test_the_full_step_falls_back_to_the_halving_blocks(monkeypatch):
     # (x1 x2 - 1)^2 + x2^2 in [-4, 4]^2.  On the edge x1 = 4 with 0 < x2 < 1/4
     # the gradient holds x1 on its bound, and p is the convex quadratic

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from polynormal.charfn import forward_cf
+from polynormal.decompose import decompose, precheck
 from polynormal.errors import (
     DimensionMismatch,
     NegativeDensity,
@@ -28,8 +30,9 @@ from polynormal.pnd import (
     polish_minimum,
 )
 from polynormal.polyalg import Polynomial, affine_substitute, to_hermite
+from polynormal.verify import convolution_check
 
-from conftest import FAST_BUDGET, polynomials, random_pd_matrix, random_pnd
+from conftest import FAST_BUDGET, eligible_quartic_poly, polynomials, random_pd_matrix, random_pnd
 
 
 def test_quadform_identity():
@@ -223,6 +226,26 @@ def test_a_density_carries_its_whitening_and_hermite_coefficients(case):
     whitened = pnd.norm_const * affine_substitute(pnd.poly, pnd.form.whitener, pnd.shift)
     assert pnd.whitened.terms.dense().tobytes() == whitened.terms.dense().tobytes()
     assert pnd.hermite.coeffs.dense().tobytes() == to_hermite(pnd.whitened).coeffs.dense().tobytes()
+
+
+def test_a_density_expands_its_hermite_coefficients_only_when_read(hermite_calls):
+    # Validation expands the whitening once, for beta_0; the coefficients
+    # of the normalized whitening wait until ``hermite`` is first read.
+    pnd = make_pnd(eligible_quartic_poly(), np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.2, -0.1]), FAST_BUDGET)
+    precheck(pnd, FAST_BUDGET)
+    assert len(hermite_calls) == 1
+    dec = decompose(pnd, theta=0.95, budget=FAST_BUDGET)
+    hermite_calls.clear()
+    # verify-conv's work: reload f and factor_Y, promote factor_Z.
+    f, y = (pnd_from_dict(pnd_to_dict(g), FAST_BUDGET) for g in (pnd, dec.factor_Y))
+    convolution_check(f, y, dec.factor_Z, np.zeros((1, 2)))
+    assert len(hermite_calls) == 3
+    h = f.hermite
+    assert len(hermite_calls) == 4 and hermite_calls[-1] is f.whitened
+    # Read again, by forward_cf too, it is not expanded again; pnd's were
+    # read by decompose.
+    assert f.hermite is h and forward_cf(f).beta.terms.dense().tobytes() == forward_cf(pnd).beta.terms.dense().tobytes()
+    assert len(hermite_calls) == 4
 
 
 def test_pnd_json_roundtrip(example4_pnd):

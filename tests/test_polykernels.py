@@ -5,6 +5,8 @@ products, the Hermite basis changes, the theta family and affine
 substitution) and
 ``charfn.cf_eval`` must match its loop in ``polyref`` within
 1e-12 * max(1, largest coefficient) for d = 1..3 and degree <= 8;
+the batched jet of the scans must also equal, to the bit, the jet taken
+from the gathered monomials of ``_monomials`` (``polyref.jet_ref``);
 ``charfn.real_imag_parts`` only moves signs, so it must match exactly.
 Evaluation points lie in [-1, 1]^d, where that scale bounds every value.
 Affine substitution must also match the recursive Horner substitution of
@@ -45,6 +47,7 @@ from polyref import (
     grad_eval_ref,
     hessian_eval_ref,
     horner_recursive_ref,
+    jet_ref,
     mul_ref,
     real_imag_parts_ref,
     theta_rescale_ref,
@@ -87,6 +90,26 @@ def test_batched_values_gradients_and_hessians_match_the_loops(case):
         assert np.max(np.abs(g - grad_eval_ref(p, x))) <= TOL * scale * max(1, p.degree)
         assert np.max(np.abs(H - hessian_eval_ref(p, x))) <= TOL * scale * max(1, p.degree) ** 2
         assert m == pytest.approx(sum(abs(c * np.prod(x ** np.array(a))) for a, c in p.terms.items()), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_jet_equals_the_gathered_product_jet_to_the_bit(d):
+    # Degrees 0..8, batches of 1 to 300 points in [-1, 1]^d, with the
+    # origin and every corner of the box among them.  The gradient and
+    # Hessian rows also match the loops.
+    rng = np.random.default_rng(d)
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
+    for degree in range(9):
+        p = Polynomial.from_terms(d, {a: rng.uniform(-1.0, 1.0) for a in all_multiindices(d, degree)})
+        scale = _scale(p.terms) * max(1, degree) ** 2
+        for n in (1, 2, 7, 300):
+            pts = np.vstack([np.zeros(d), corners, rng.uniform(-1.0, 1.0, size=(n, d))])[:n]
+            jet, ref = p._jet(pts), jet_ref(p, pts)
+            for got, want in zip(jet, ref):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (degree, n)
+            for x, g, H in zip(pts, jet[1], jet[2]):
+                assert np.max(np.abs(g - grad_eval_ref(p, x))) <= TOL * scale
+                assert np.max(np.abs(H - hessian_eval_ref(p, x))) <= TOL * scale
 
 
 @FAST
