@@ -16,7 +16,8 @@ before: by their values when one is still negative, else by local
 polishes from them; global minimum scans run only at the start and to
 confirm the theta the split takes, the bisection's end point plus its
 tolerance.  A confirmation that finds a negative point, or a minimum it
-does not attain, adds it as a witness and runs the bisection again.  A
+does not attain, adds it as a witness, refutes every theta up to its own,
+and runs the bisection again.  A
 split needs an attained, nonnegative gate scan at its theta: with no
 explicit theta, that is the search's confirmation, and no scan repeats it.
 
@@ -152,8 +153,9 @@ def theta_floor(
     The bisection's end point, plus tol, is confirmed by one more global
     scan, the gate scan of ``decompose``.  If that scan finds a negative
     point, or a minimum it does not attain, the point becomes a witness,
-    every theta up to the end point counts as inadmissible, and the
-    bisection runs again from the start; where polishes and scans agree,
+    every theta up to the scanned one counts as inadmissible (a smaller
+    theta is never more admissible), and the bisection runs again from the
+    start, to end above the scanned theta; where polishes and scans agree,
     it takes the midpoints of a bisection that scans every one.  So
     floor + tol is confirmed by an attained, nonnegative global scan (the
     floor itself is not scanned), and unless the search ran down to 0, a
@@ -213,7 +215,7 @@ def theta_floor(
         if scan.value >= RESCALE_TOL and scan.attained:
             return ThetaFloor(hi, theta, p_theta, scan)
         witnesses.append(scan.point)
-        refuted_at = hi
+        refuted_at = theta
 
 
 def decompose(

@@ -235,9 +235,10 @@ class Polynomial(_Expansion):
     @functools.cached_property
     def _eval_table(self):
         """(powers, gather positions, coefficient rows) of the evaluation kernel:
-        column k is a monomial of p or of a partial derivative, gathered from the
-        flat table x_j ** powers at positions[k]; row 0 is p, row 1 + j dp/dx_j,
-        then one row per second partial d2p/dx_i dx_j, i <= j, in that order."""
+        column k is a monomial of p or of a partial derivative, the product over
+        the axes j of the entry positions[j][k] of the flat table x_j ** powers;
+        row 0 is p, row 1 + j dp/dx_j, then one row per second partial
+        d2p/dx_i dx_j, i <= j, in that order."""
         d, n = self.dim, self.degree + 1
         pairs = [(i, j) for i in range(d) for j in range(i, d)]
         rows = np.zeros((1 + d + len(pairs),) + (n,) * d)
@@ -256,43 +257,38 @@ class Polynomial(_Expansion):
             partial(1 + i, 1 + d + k, j)
         stack = rows.reshape(len(rows), -1)
         cols = np.flatnonzero(stack.any(axis=0))
-        exps = np.stack(np.unravel_index(cols, (n,) * d), axis=1)
-        return np.arange(n), exps + n * np.arange(d), stack[:, cols]
+        positions = tuple(e + n * j for j, e in enumerate(np.unravel_index(cols, (n,) * d)))
+        return np.arange(n), positions, stack[:, cols]
 
     def _monomials(self, x) -> np.ndarray:
         """Every column monomial of the evaluation table at points x (..., dim)."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"points have dimension {x.shape[-1]}, expected {self.dim}")
+        return self._gather(x)
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        """``_monomials`` at a float array x (..., dim), not checked: each axis's
+        gathered powers multiplied in, from the first axis on."""
         powers, positions, _ = self._eval_table
         table = (x[..., None] ** powers).reshape(x.shape[:-1] + (-1,))
-        return table[..., positions].prod(axis=-1)
-
-    @functools.cached_property
-    def _jet_plan(self):
-        """What ``_jet`` reads of the evaluation table: the powers, each axis's
-        gather positions (one array per axis), the coefficient rows, |row 0|
-        and the rows of the second partials."""
-        powers, positions, rows = self._eval_table
-        return powers, tuple(np.ascontiguousarray(positions.T)), rows, np.abs(rows[0]), _hessian_rows(self.dim)
+        mono = table[..., positions[0]]
+        for axis in positions[1:]:
+            mono = mono * table[..., axis]
+        return mono
 
     def _jet(self, pts: np.ndarray):
         """Values (n,), gradients (n, dim), Hessians (n, dim, dim) and the sums of
         the terms' magnitudes (n,), which bound the rounding of the values, at
-        an (n, dim) float array of points (not checked, unlike ``eval_many``).
-
-        The monomials are those of ``_monomials``, bit for bit: the product of
-        one gathered power per axis, taken axis by axis from the first."""
-        powers, axes, rows, magnitude, hessian = self._jet_plan
-        table = (pts[:, :, None] ** powers).reshape(len(pts), -1)
-        mono = table[:, axes[0]]
-        for positions in axes[1:]:
-            mono = mono * table[:, positions]
+        an (n, dim) float array of points (not checked, unlike ``eval_many``)."""
+        d = self.dim
+        mono = self._gather(pts)
+        rows = self._eval_table[2]
         # einsum sums each point's row alone, in one order whatever the batch
         # (a BLAS product does not), so a point's result does not depend on it.
         out = np.einsum("nk,rk->nr", mono, rows)
-        mag = np.einsum("nk,k->n", np.abs(mono), magnitude)
-        return out[:, 0], out[:, 1:self.dim + 1], out[:, hessian], mag
+        mag = np.einsum("nk,k->n", np.abs(mono), np.abs(rows[0]))
+        return out[:, 0], out[:, 1:d + 1], out[:, _hessian_rows(d)], mag
 
     def eval(self, x) -> float:
         """Evaluate at a single point of R^dim."""

@@ -18,7 +18,7 @@ The batched local searches that evaluated one step halving at a time are
 kept as the bit-exact reference for ``pnd._local_minima``, which tests the
 halvings in blocks of doubling width.  The jet that multiplied each
 monomial's gathered powers with ``prod`` is the bit-exact reference for
-``Polynomial._jet``, which multiplies them axis by axis from a cached plan.
+``Polynomial._jet``, which multiplies them in axis by axis.
 The recursive Horner substitution, one coefficient slice at a time, is kept as
 the bit-exact reference for ``polyalg.affine_substitute``, which substitutes
 every slice of a variable at once.  The biquadratic factor probe that ran one
@@ -108,11 +108,12 @@ def eval_ref(p: Polynomial, x) -> float:
 
 
 def jet_ref(p: Polynomial, pts: np.ndarray):
-    """``Polynomial._jet`` on the gathered monomials of ``_monomials``, multiplied
-    by ``prod`` over the axes: the bit-exact reference for the jet that reads
-    a cached plan and multiplies the axes' gathered powers in turn."""
-    mono = p._monomials(pts)
-    rows = p._eval_table[2]
+    """``Polynomial._jet`` on monomials gathered as one (n, columns, dim) array
+    and multiplied by ``prod`` over its last axis: the bit-exact reference for
+    the monomial kernel that multiplies the axes' gathered powers in turn."""
+    powers, positions, rows = p._eval_table
+    table = (pts[..., None] ** powers).reshape(pts.shape[:-1] + (-1,))
+    mono = table[..., np.stack(positions, axis=-1)].prod(axis=-1)
     out = np.einsum("nk,rk->nr", mono, rows)
     mag = np.einsum("nk,k->n", np.abs(mono), np.abs(rows[0]))
     return out[:, 0], out[:, 1:p.dim + 1], out[:, _hessian_rows(p.dim)], mag

@@ -216,9 +216,11 @@ def test_theta_floor_rejects_a_start_scan_not_attained():
 
 
 def test_theta_floor_replays_after_a_confirmation_not_attained(monkeypatch):
-    # The first confirmation scan is made to report a nonnegative minimum it
-    # does not attain: that refutes its theta like a negative scan, and the
-    # replayed bisection ends at most tol above it, confirmed by a third scan.
+    # The first confirmation scan, at floor + tol, is made to report a
+    # nonnegative minimum it does not attain: that refutes its theta like a
+    # negative scan, and every theta below.  So the replayed bisection spends
+    # no midpoint at or below floor + tol and ends above it, at most tol
+    # higher, confirmed by a third scan.
     module = importlib.import_module("polynormal.decompose")
     scans = []
 
@@ -236,7 +238,7 @@ def test_theta_floor_replays_after_a_confirmation_not_attained(monkeypatch):
     assert len(scans) == 3
     monkeypatch.undo()
     floor = theta_floor(h, tol).floor
-    assert floor < replayed <= floor + 2 * tol
+    assert floor + tol < replayed <= floor + 2 * tol
 
 
 def test_decompose_gates_on_the_theta_searchs_confirmation(scan_calls):

@@ -5,8 +5,8 @@ products, the Hermite basis changes, the theta family and affine
 substitution) and
 ``charfn.cf_eval`` must match its loop in ``polyref`` within
 1e-12 * max(1, largest coefficient) for d = 1..3 and degree <= 8;
-the batched jet of the scans must also equal, to the bit, the jet taken
-from the gathered monomials of ``_monomials`` (``polyref.jet_ref``);
+the batched jet of the scans must also equal, to the bit, the jet whose
+monomials multiply their gathered powers with ``prod`` (``polyref.jet_ref``);
 ``charfn.real_imag_parts`` only moves signs, so it must match exactly.
 Evaluation points lie in [-1, 1]^d, where that scale bounds every value.
 Affine substitution must also match the recursive Horner substitution of
