@@ -94,14 +94,14 @@ def inverse_cf_parts(cf: CharFn):
     sqrt(det A) / (2 pi)^{d/2} * poly(x) * exp(-(x-b)' A (x-b) / 2),
     which is a genuine density iff poly is nonnegative.
     """
-    C = np.linalg.cholesky(cf.sigma)  # C C' = sigma, so C' A C = I
+    # sigma = K K' and W = K^{-T}, so A = W W' is whitened by K: L_A^{-T} = W, L_A^{-1} = W'.
+    W = make_quadform(cf.sigma).whitener
     A = np.linalg.inv(cf.sigma)
     A = 0.5 * (A + A.T)
     d = cf.dim
-    g = affine_substitute(cf.beta, np.linalg.inv(C.T), np.zeros(d))
+    g = affine_substitute(cf.beta, W, np.zeros(d))
     ptilde = from_hermite(HermiteCoeffs.from_coeffs(d, g.terms))
-    Cinv = np.linalg.inv(C)
-    poly = affine_substitute(ptilde, Cinv, -Cinv @ cf.shift)
+    poly = affine_substitute(ptilde, W.T, -W.T @ cf.shift)
     return poly, A, np.array(cf.shift)
 
 

@@ -225,7 +225,8 @@ def _cmd_verify_conv(args, cfg: RunConfig) -> int:
     f = _load_pnd(args.f, cfg)
     g1 = _load_factor(args.y, cfg)
     g2 = _load_factor(args.z, cfg)
-    report = convolution_check(f, g1, g2, tensor_grid([np.linspace(-4.0, 4.0, 5)] * f.dim))
+    u = tensor_grid([np.linspace(-4.0, 4.0, 5)] * f.dim)  # mapped to f's own frame, b + L u
+    report = convolution_check(f, g1, g2, u @ f.form.whitener.T + f.shift)
     _emit(
         {
             "max_abs_error": report.max_abs_error,

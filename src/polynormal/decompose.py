@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import cf_multiply, forward_cf, gaussian_cf
+from .charfn import forward_cf
 from .errors import NoAdmissibleTheta, NotEligible, ThetaInadmissible
 from .pnd import (
     PND,
@@ -253,11 +253,10 @@ def decompose(
     if scan.value < RESCALE_TOL or not scan.attained:
         raise ThetaInadmissible(scan.value, scan.point, negative=scan.value < RESCALE_TOL)
     L = pnd.form.whitener
-    Linv = np.linalg.inv(L)
-    # No second scan: factor_Y's polynomial is p_theta in other coordinates,
-    # and the scan above has gated it with the stricter RESCALE_TOL.
+    # No second scan: factor_Y's polynomial is p_theta(L^{-1} x), L^{-1} = root',
+    # and the scan above has gated p_theta with the stricter RESCALE_TOL.
     factor_y = _build_pnd(
-        affine_substitute(p_theta, Linv, np.zeros(pnd.dim)),
+        affine_substitute(p_theta, pnd.form.root.T, np.zeros(pnd.dim)),
         pnd.form.matrix / theta**2,
         np.zeros(pnd.dim),
         budget=None,
@@ -265,23 +264,20 @@ def decompose(
     factor_z = GaussianFactor(
         mean=np.array(pnd.shift), cov=(1.0 - theta**2) * (L @ L.T)
     )
-    cf_error = _cf_product_error(pnd, factor_y, factor_z)
+    # Coefficient-wise gap between the original cf and the factors' product,
+    # whose polynomial part is factor_Y's: factor_Z adds its covariance and
+    # mean to the exponent and the phase.
+    original, cf_y = forward_cf(pnd), forward_cf(factor_y)
+    cf_error = max(
+        cf_y.beta.max_abs_coeff_diff(original.beta),
+        float(np.max(np.abs(cf_y.sigma + factor_z.cov - original.sigma))),
+        float(np.max(np.abs(cf_y.shift + factor_z.mean - original.shift))),
+    )
     if cf_error > 1e-9:
         raise RuntimeError(
             f"internal factorization check failed: coefficient error {cf_error:.3e}"
         )
     return Decomposition(theta, factor_y, factor_z, float(scan.value), cf_error, diag)
-
-
-def _cf_product_error(pnd: PND, factor_y: PND, factor_z: GaussianFactor) -> float:
-    """Coefficient-wise gap between the original cf and the factor product."""
-    original = forward_cf(pnd)
-    product = cf_multiply(forward_cf(factor_y), gaussian_cf(factor_z.mean, factor_z.cov))
-    return max(
-        product.beta.max_abs_coeff_diff(original.beta),
-        float(np.max(np.abs(product.sigma - original.sigma))),
-        float(np.max(np.abs(product.shift - original.shift))),
-    )
 
 
 def diagnosis_to_dict(diag: Diagnosis) -> dict:

@@ -17,7 +17,6 @@ seeds of every round, each start in its own round's box.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
@@ -36,6 +35,7 @@ from .errors import (
 from .polyalg import (
     HermiteCoeffs,
     Polynomial,
+    _wrap,
     affine_substitute,
     polynomial_from_dict,
     polynomial_to_dict,
@@ -51,16 +51,20 @@ NEGATIVITY_TOL = -1e-9
 
 @dataclass(frozen=True)
 class QuadForm:
-    """Positive definite quadratic form with a whitening factor.
+    """Positive definite quadratic form A with its one factorization.
 
-    ``whitener`` is L with L' A L = I; we take L as the inverse transpose
-    of the lower Cholesky factor of A.  Any valid L gives the same
-    distributional results; this choice is deterministic and cheap.
+    A = K K' with K = ``root``, and ``whitener`` is L = K^{-T}: L' A L = I,
+    L^{-1} = K' and A^{-1} = L L'; ``sqrt_det`` is sqrt(det A).  Only
+    ``make_quadform`` chooses K (A's lower Cholesky factor); readers rely on
+    these identities alone, never on K being triangular, as any such K
+    gives the same distributional results.
     """
 
     dim: int
     matrix: np.ndarray
+    root: np.ndarray
     whitener: np.ndarray
+    sqrt_det: float
 
 
 def make_quadform(A) -> QuadForm:
@@ -72,16 +76,16 @@ def make_quadform(A) -> QuadForm:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
     A = 0.5 * (A + A.T)
     try:
-        chol = np.linalg.cholesky(A)
+        K = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    L = np.linalg.inv(chol).T
+    L = np.linalg.inv(K).T
     resid = float(np.max(np.abs(L.T @ A @ L - np.eye(A.shape[0]))))
     if resid > WHITEN_TOL:
         raise NotPositiveDefinite(f"whitening residual {resid:.3e} exceeds {WHITEN_TOL}")
-    A.setflags(write=False)
-    L.setflags(write=False)
-    return QuadForm(A.shape[0], A, L)
+    for a in (A, K, L):
+        a.setflags(write=False)
+    return QuadForm(A.shape[0], A, K, L, float(np.prod(np.diag(K))))
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,8 @@ class PND:
     ``scan`` is the (budget, result) of the minimum scan of ``poly`` that
     validated it, or None; ``find_min_poly`` reuses it for the same budget.
     ``whitened`` is norm_const * p(L u + b) and ``hermite`` its Hermite
-    coefficients (the beta_a of the characteristic function), expanded when
-    first read: a density that is only validated never needs them.
+    coefficients (the beta_a of the characteristic function): norm_const
+    times the one expansion that ``_build_pnd`` made for beta_0.
     """
 
     poly: Polynomial
@@ -101,14 +105,11 @@ class PND:
     norm_const: float
     scan: tuple | None = field(compare=False, repr=False)
     whitened: Polynomial = field(compare=False, repr=False)
+    hermite: HermiteCoeffs = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.form.dim
-
-    @functools.cached_property
-    def hermite(self) -> HermiteCoeffs:
-        return to_hermite(self.whitened)
 
 
 @dataclass(frozen=True)
@@ -441,8 +442,8 @@ def _build_pnd(p: Polynomial, A, b, budget: SearchBudget | None) -> PND:
     """``make_pnd``'s checks and normalization; with budget None, no scan.
 
     Skipping the scan is only for callers that have already gated the
-    nonnegativity of p themselves.  The whitening made for beta_0 is kept
-    (``PND.whitened``); its Hermite coefficients are left to ``PND.hermite``.
+    nonnegativity of p themselves.  The whitening made for beta_0 and its
+    Hermite expansion are kept, normalized (``PND.whitened``, ``PND.hermite``).
     """
     form = make_quadform(A)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -460,19 +461,18 @@ def _build_pnd(p: Polynomial, A, b, budget: SearchBudget | None) -> PND:
         result.point.setflags(write=False)  # shared by every reuse of the scan
         scan = (budget, result)
     whitened = affine_substitute(p, form.whitener, b)
-    beta0 = to_hermite(whitened).coefficient((0,) * form.dim)
+    hermite = to_hermite(whitened)
+    beta0 = hermite.coefficient((0,) * form.dim)
     if beta0 <= 0.0:
         raise ZeroIntegral(f"constant Hermite coefficient is {beta0:.6g}")
     b.setflags(write=False)
     norm_const = 1.0 / beta0
-    whitened = norm_const * whitened
-    return PND(p, form, b, norm_const, scan, whitened)
+    hermite = _wrap(HermiteCoeffs, norm_const * hermite.coeffs.dense())
+    return PND(p, form, b, norm_const, scan, norm_const * whitened, hermite)
 
 
 def _gauss_scale(pnd: PND) -> float:
-    return pnd.norm_const * math.sqrt(np.linalg.det(pnd.form.matrix)) / (
-        2.0 * math.pi
-    ) ** (pnd.dim / 2.0)
+    return pnd.norm_const * pnd.form.sqrt_det / (2.0 * math.pi) ** (pnd.dim / 2.0)
 
 
 def density(pnd: PND, x) -> float:

@@ -5,8 +5,9 @@ Three families of checks live here:
 * ``convolution_check`` -- confirms a claimed factorization in density
   space: the convolution of the two factors, computed by Gauss-Hermite
   quadrature against the combined Gaussian weight, must reproduce the
-  original density pointwise.  The rule's order follows from the factors'
-  degrees.
+  original density pointwise.  The rule has the minimum order exact for
+  the factors' degrees, and the weight's form is factored once, by
+  ``make_quadform``, like every Gaussian form here.
 
 * the ``example4_*`` functions -- a bundled two-dimensional counterexample
   family built from the density (1/(6 pi)) [(x1 x2 - 1)^2 + x2^2]
@@ -90,12 +91,13 @@ def _as_pnd(g) -> PND:
 
 
 def convolution_check(f: PND, g1, g2, grid) -> ConvReport:
-    """Compare (g1 * g2)(x) against f(x) on a grid of points.
+    """Compare (g1 * g2)(x) against f(x) on a grid of points (rows of length d).
 
     The two Gaussian exponents are merged by completing the square, which
-    leaves a polynomial integrand against a single Gaussian weight; the
-    tensor Gauss-Hermite rule then evaluates the convolution exactly
-    provided 2*order - 1 exceeds the combined polynomial degree.
+    leaves a polynomial integrand against a single Gaussian weight with
+    precision S = A1 + A2; the tensor Gauss-Hermite rule of the minimum
+    order whose 2*order - 1 exceeds the combined polynomial degree then
+    evaluates the convolution exactly.
     """
     g1 = _as_pnd(g1)
     g2 = _as_pnd(g2)
@@ -105,26 +107,24 @@ def convolution_check(f: PND, g1, g2, grid) -> ConvReport:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid.reshape(-1, 1) if d == 1 else grid.reshape(1, -1)
-    order = (g1.poly.degree + g2.poly.degree) // 2 + 1 + 8  # the exact minimum, plus 8
+    if grid.ndim != 2 or grid.shape[1] != d:
+        raise DimensionMismatch(f"grid of shape {grid.shape}: expected rows of length {d}")
+    order = (g1.poly.degree + g2.poly.degree) // 2 + 1
     A1, b1 = g1.form.matrix, g1.shift
     A2, b2 = g2.form.matrix, g2.shift
-    S = A1 + A2
-    Sform = make_quadform(S)
-    W = Sform.whitener  # W' S W = I
+    S = make_quadform(A1 + A2)
+    W = S.whitener  # W' S W = I, so S^{-1} = W W'
     u, wts = gauss_hermite_nodes(d, order)
-    c1, c2 = _gauss_scale(g1), _gauss_scale(g2)
-    det_s = np.linalg.det(S)
-    values = np.empty(grid.shape[0])
-    for i, x in enumerate(grid):
-        r = x - b1
-        m = np.linalg.solve(S, A1 @ r + A2 @ b2)
-        expo = -0.5 * (r @ A1 @ r + b2 @ A2 @ b2 - m @ S @ m)
-        y = m + u @ W.T
-        integrand = g1.poly.eval_many(x - y) * g2.poly.eval_many(y)
-        mean_val = float(wts @ integrand)
-        values[i] = c1 * c2 * math.exp(expo) * (2.0 * math.pi) ** (d / 2.0) / math.sqrt(det_s) * mean_val
-    target = density_many(f, grid)
-    err = float(np.max(np.abs(values - target)))
+    # r = x - b1 - b2: the weight is centered at y = b2 + S^{-1} A1 r, and the exponent
+    # left, r' A1 S^{-1} A2 r = (W' A1 r).(W' A2 r), cancels nothing when the shifts are large.
+    r = grid - b1 - b2
+    z1, z2 = r @ A1 @ W, r @ A2 @ W
+    expo = -0.5 * np.einsum("ni,ni->n", z1, z2)
+    ys = (b2 + z1 @ W.T)[:, None, :] + u @ W.T  # each grid point's nodes
+    means = np.array([wts @ (g1.poly.eval_many(x - y) * g2.poly.eval_many(y)) for x, y in zip(grid, ys)])
+    scale = _gauss_scale(g1) * _gauss_scale(g2) * (2.0 * math.pi) ** (d / 2.0) / S.sqrt_det
+    values = scale * np.exp(expo) * means
+    err = float(np.max(np.abs(values - density_many(f, grid))))
     return ConvReport(grid, err, order)
 
 
@@ -175,7 +175,7 @@ def example4_signed_density(params: Example4Params):
     and the polynomial and matrix of the inverse transform.
     """
     poly, A, _ = inverse_cf_parts(example4_candidate_cf(params))
-    scale = math.sqrt(np.linalg.det(A)) / (2.0 * math.pi)
+    scale = make_quadform(A).sqrt_det / (2.0 * math.pi)
 
     def value(x):
         x = np.asarray(x, dtype=float)

@@ -19,6 +19,9 @@ kept as the bit-exact reference for ``pnd._local_minima``, which tests the
 halvings in blocks of doubling width.  The jet that multiplied each
 monomial's gathered powers with ``prod`` is the bit-exact reference for
 ``Polynomial._jet``, which multiplies them in axis by axis.
+The convolution check that solved for the weight's center at every grid point,
+with 8 more quadrature nodes per axis than exactness needs, is the reference
+for ``verify.convolution_check`` (``test_verify.py``).
 The recursive Horner substitution, one coefficient slice at a time, is kept as
 the bit-exact reference for ``polyalg.affine_substitute``, which substitutes
 every slice of a variable at once.  The biquadratic factor probe that ran one
@@ -56,12 +59,13 @@ from polynormal.pnd import (
     SearchBudget,
     _grid_candidates,
     _local_minima,
+    gauss_hermite_nodes,
     minimize_polynomial,
     polish_minimum,
 )
 from polynormal.polyalg import HermiteCoeffs, Polynomial, _hessian_rows, tensor_grid, theta_rescale
 from polynormal.positivity import _even_degree, leading_axis_coeffs
-from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _quadratic_from_vector
+from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _as_pnd, _quadratic_from_vector
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,6 +254,37 @@ def real_imag_parts_ref(cf):
         k = sum(alpha)  # i^k = (-1)^(k // 2), times i when k is odd
         (im if k % 2 else re)[alpha] = c * (-1.0) ** (k // 2)
     return Polynomial.from_terms(cf.dim, re), Polynomial.from_terms(cf.dim, im)
+
+
+def convolution_check_ref(f, g1, g2, grid):
+    """``verify.convolution_check`` as it solved S m = A1 r + A2 b2 at each
+    grid point, took det A and det S apart, and used 8 more Gauss-Hermite
+    nodes per axis than exactness needs.  Returns (values of g1 * g2 on the
+    grid, largest gap to f there, quadrature order)."""
+    g1, g2 = _as_pnd(g1), _as_pnd(g2)
+    d = f.dim
+    grid = np.asarray(grid, dtype=float).reshape(-1, d)
+
+    def scale(g):
+        return g.norm_const * math.sqrt(np.linalg.det(g.form.matrix)) / (2.0 * math.pi) ** (d / 2.0)
+
+    order = (g1.poly.degree + g2.poly.degree) // 2 + 1 + 8
+    A1, b1 = g1.form.matrix, g1.shift
+    A2, b2 = g2.form.matrix, g2.shift
+    S = A1 + A2
+    W = np.linalg.inv(np.linalg.cholesky(S)).T  # W' S W = I
+    u, wts = gauss_hermite_nodes(d, order)
+    values, target = np.empty(len(grid)), np.empty(len(grid))
+    for i, x in enumerate(grid):
+        r = x - b1
+        m = np.linalg.solve(S, A1 @ r + A2 @ b2)
+        expo = -0.5 * (r @ A1 @ r + b2 @ A2 @ b2 - m @ S @ m)
+        y = m + u @ W.T
+        mean_val = float(wts @ (g1.poly.eval_many(x - y) * g2.poly.eval_many(y)))
+        values[i] = scale(g1) * scale(g2) * math.exp(expo) * (2.0 * math.pi) ** (d / 2.0) / math.sqrt(np.linalg.det(S)) * mean_val
+        rf = x - f.shift
+        target[i] = scale(f) * f.poly.eval(x) * math.exp(-0.5 * rf @ f.form.matrix @ rf)
+    return values, float(np.max(np.abs(values - target))), order
 
 
 def lbfgsb_ref(p: Polynomial, start, radius: float):

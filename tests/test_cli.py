@@ -252,6 +252,25 @@ def test_verify_conv_command(workdir, capsys):
     assert report["max_abs_error"] <= 1e-6
 
 
+@pytest.mark.parametrize("shift", [[0.1, -0.2], [20.0, -20.0]])
+def test_verify_conv_rejects_a_wrong_factor_of_a_density_far_from_the_origin(workdir, capsys, shift):
+    # The grid lies in the density's own frame, b + L u, wherever b is.
+    poly = Polynomial.from_terms(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 1.0, (1, 1): -1.0, (0, 0): 1.0})
+    f = _write(workdir / "f.json", _pnd_json(poly, [[2.0, 0.5], [0.5, 1.0]], shift))
+    assert main(["--out", str(workdir / "dec.json"), "decompose", "--input", f]) == 0
+    dec = json.loads(open(workdir / "dec.json").read())
+    y = _write(workdir / "y.json", dec["factor_Y"])
+    z = _write(workdir / "z.json", dec["factor_Z"])
+    wrong = _write(workdir / "wrong.json", {**dec["factor_Z"], "cov": (3.0 * np.array(dec["factor_Z"]["cov"])).tolist()})
+    errors = []
+    for factor in (z, wrong):
+        assert main(["verify-conv", "--f", f, "--y", y, "--z", factor]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["quadrature_order"] == 3 and report["grid_points"] == 25
+        errors.append(report["max_abs_error"])
+    assert errors[0] <= 1e-12 and errors[1] > 1e-3
+
+
 def test_example4_command_defaults(workdir, capsys):
     csv_path = workdir / "slice.csv"
     assert main(["--out", str(workdir / "e4.json"), "example4", "--csv", str(csv_path)]) == 0

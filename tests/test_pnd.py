@@ -18,6 +18,7 @@ from polynormal.errors import (
 )
 from polynormal.pnd import (
     SearchBudget,
+    _gauss_scale,
     density,
     density_many,
     find_min_poly,
@@ -29,7 +30,7 @@ from polynormal.pnd import (
     pnd_to_dict,
     polish_minimum,
 )
-from polynormal.polyalg import Polynomial, affine_substitute, to_hermite
+from polynormal.polyalg import HermiteCoeffs, Polynomial, affine_substitute, to_hermite
 from polynormal.verify import convolution_check
 
 from conftest import FAST_BUDGET, eligible_quartic_poly, polynomials, random_pd_matrix, random_pnd
@@ -223,29 +224,46 @@ def test_a_density_carries_its_whitening_and_hermite_coefficients(case):
     q, rng = case
     d = q.dim
     pnd = make_pnd(q * q + Polynomial.constant(d, 1.0), random_pd_matrix(rng, d), rng.uniform(-1.0, 1.0, d), FAST_BUDGET)
-    whitened = pnd.norm_const * affine_substitute(pnd.poly, pnd.form.whitener, pnd.shift)
-    assert pnd.whitened.terms.dense().tobytes() == whitened.terms.dense().tobytes()
-    assert pnd.hermite.coeffs.dense().tobytes() == to_hermite(pnd.whitened).coeffs.dense().tobytes()
+    W = affine_substitute(pnd.poly, pnd.form.whitener, pnd.shift)
+    assert pnd.whitened.terms.dense().tobytes() == (pnd.norm_const * W).terms.dense().tobytes()
+    # The expansion made for beta_0, scaled: beta_0 of the normalized one is 1.
+    scaled = HermiteCoeffs.from_coeffs(d, {a: pnd.norm_const * c for a, c in to_hermite(W).coeffs.items()})
+    assert pnd.hermite.coeffs.dense().tobytes() == scaled.coeffs.dense().tobytes()
+    assert pnd.hermite.coefficient((0,) * d) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_a_density_expands_its_hermite_coefficients_only_when_read(hermite_calls):
-    # Validation expands the whitening once, for beta_0; the coefficients
-    # of the normalized whitening wait until ``hermite`` is first read.
+def test_a_density_expands_its_hermite_coefficients_once_when_built(hermite_calls):
+    # Each density built expands its whitening once, for beta_0, and keeps
+    # that expansion; reading it, by precheck, forward_cf or decompose,
+    # expands nothing more.
     pnd = make_pnd(eligible_quartic_poly(), np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.2, -0.1]), FAST_BUDGET)
+    assert len(hermite_calls) == 1
     precheck(pnd, FAST_BUDGET)
+    forward_cf(pnd)
     assert len(hermite_calls) == 1
     dec = decompose(pnd, theta=0.95, budget=FAST_BUDGET)
+    assert len(hermite_calls) == 2  # factor_Y's, as it is built
     hermite_calls.clear()
     # verify-conv's work: reload f and factor_Y, promote factor_Z.
     f, y = (pnd_from_dict(pnd_to_dict(g), FAST_BUDGET) for g in (pnd, dec.factor_Y))
     convolution_check(f, y, dec.factor_Z, np.zeros((1, 2)))
     assert len(hermite_calls) == 3
-    h = f.hermite
-    assert len(hermite_calls) == 4 and hermite_calls[-1] is f.whitened
-    # Read again, by forward_cf too, it is not expanded again; pnd's were
-    # read by decompose.
-    assert f.hermite is h and forward_cf(f).beta.terms.dense().tobytes() == forward_cf(pnd).beta.terms.dense().tobytes()
-    assert len(hermite_calls) == 4
+    assert forward_cf(f).beta.terms.dense().tobytes() == forward_cf(pnd).beta.terms.dense().tobytes()
+    assert len(hermite_calls) == 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_quadform_keeps_its_root_and_determinant(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        A = random_pd_matrix(rng, dim)
+        form = make_quadform(A)
+        assert np.max(np.abs(form.root @ form.root.T - A)) <= 1e-14 * np.max(np.abs(A))
+        assert form.whitener.tobytes() == np.linalg.inv(form.root).T.tobytes()
+        sqrt_det = math.sqrt(np.linalg.det(A))
+        assert form.sqrt_det == pytest.approx(sqrt_det, rel=1e-14)
+        unit = make_pnd(Polynomial.constant(dim, 1.0), A, np.zeros(dim), FAST_BUDGET)
+        assert _gauss_scale(unit) * (2.0 * math.pi) ** (dim / 2.0) == pytest.approx(sqrt_det, rel=1e-14)
 
 
 def test_pnd_json_roundtrip(example4_pnd):

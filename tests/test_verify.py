@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from polynormal.charfn import cf_multiply, forward_cf, gaussian_cf, inverse_cf
 from polynormal.decompose import GaussianFactor, decompose
-from polynormal.errors import NoWitnessFound
-from polynormal.pnd import _local_minima, make_pnd, make_quadform
-from polynormal.polyalg import Polynomial
+from polynormal.errors import DimensionMismatch, NoWitnessFound
+from polynormal.pnd import _local_minima, density_many, make_pnd, make_quadform
+from polynormal.polyalg import Polynomial, tensor_grid
 from polynormal.verify import (
     _BOX_SCALES,
     _PRODUCT,
@@ -25,8 +26,8 @@ from polynormal.verify import (
     validate_example4_params,
 )
 
-from conftest import random_pd_matrix, sample_example4_params
-from polyref import biquadratic_factor_probe_ref, product_residual_ref
+from conftest import FAST_BUDGET, eligible_quartic_poly, random_pd_matrix, random_pnd, sample_example4_params
+from polyref import biquadratic_factor_probe_ref, convolution_check_ref, product_residual_ref
 
 
 def _gauss(var):
@@ -64,6 +65,43 @@ def test_convolution_negative_control():
     wrong = GaussianFactor(mean=dec.factor_Z.mean, cov=dec.factor_Z.cov + 0.1)
     report = convolution_check(pnd, dec.factor_Y, wrong, np.linspace(-4.0, 4.0, 21))
     assert report.max_abs_error > 1e-3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("pair", ["PND x Gaussian", "PND x PND", "Gaussian x Gaussian"])
+def test_convolution_check_agrees_with_the_per_point_reference(pair, dim):
+    rng = np.random.default_rng(dim)
+
+    def factor(kind):
+        if kind == "PND":
+            return random_pnd(rng, dim, half_degree=1)
+        return GaussianFactor(mean=rng.uniform(-1.0, 1.0, dim), cov=random_pd_matrix(rng, dim))
+
+    g1, g2 = (factor(kind) for kind in pair.split(" x "))
+    # f's characteristic function is the factors' product, so f = g1 * g2.
+    cfs = [gaussian_cf(g.mean, g.cov) if isinstance(g, GaussianFactor) else forward_cf(g) for g in (g1, g2)]
+    f = inverse_cf(cf_multiply(*cfs), FAST_BUDGET)
+    grid = tensor_grid([np.linspace(-2.0, 2.0, 3)] * dim) @ f.form.whitener.T + f.shift
+    top = float(np.max(density_many(f, grid)))
+    report = convolution_check(f, g1, g2, grid)
+    _, ref_error, ref_order = convolution_check_ref(f, g1, g2, grid)
+    assert report.quadrature_order == ref_order - 8
+    # Both within 0.5e-13 * max f of f, so within 1e-13 * max f of each other.
+    assert report.max_abs_error <= 0.5e-13 * top and ref_error <= 0.5e-13 * top
+    # Against a target moved off g1 * g2, the gap at one point is |(g1 * g2)(x) - target(x)|.
+    miss = make_pnd(f.poly, f.form.matrix, f.shift + 0.5, FAST_BUDGET)
+    for x in grid:
+        gap = convolution_check(miss, g1, g2, x[None]).max_abs_error
+        assert abs(gap - convolution_check_ref(miss, g1, g2, x[None])[1]) <= 1e-13 * top
+    assert convolution_check(miss, g1, g2, grid).max_abs_error > 1e-3 * top
+
+
+def test_convolution_grid_rows_must_have_the_density_dimension():
+    pnd = make_pnd(eligible_quartic_poly(), np.eye(2), np.zeros(2), FAST_BUDGET)
+    g = GaussianFactor(mean=np.zeros(2), cov=np.eye(2))
+    for grid in (np.zeros((4, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            convolution_check(pnd, g, g, grid)
 
 
 def test_example4_B_reference_value():
