@@ -13,7 +13,9 @@ density with quadratic form A, whitener L and shift b:
 
 where g carries the Hermite coefficients of the normalized whitened
 polynomial.  The substitution t -> L't is degree-homogeneous, so the
-expanded coefficients against (i t)^a stay real.
+expanded coefficients against (i t)^a stay real.  Each direction factors
+at most one Gaussian form: A^{-1} is read from A's form, and the inverse
+transform factors sigma and reads A = sigma^{-1} from it (``QuadForm.inverse``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroIntegral
-from .pnd import PND, SearchBudget, make_pnd, make_quadform
+from .pnd import PND, QuadForm, SearchBudget, _build_pnd, make_quadform
 from .polyalg import (
     HermiteCoeffs,
     Polynomial,
@@ -52,7 +54,12 @@ class CharFn:
 
 
 def make_charfn(beta: Polynomial, sigma, shift) -> CharFn:
-    form = make_quadform(sigma)  # validates symmetry and positive definiteness
+    """Factor and validate sigma, then normalize beta so that phi(0) = 1."""
+    return _build_charfn(beta, make_quadform(sigma), shift)
+
+
+def _build_charfn(beta: Polynomial, form: QuadForm, shift) -> CharFn:
+    """``make_charfn``'s checks and normalization on an already factored sigma."""
     shift = np.asarray(shift, dtype=float).reshape(-1)
     if beta.dim != form.dim or shift.shape[0] != form.dim:
         raise DimensionMismatch(
@@ -64,7 +71,7 @@ def make_charfn(beta: Polynomial, sigma, shift) -> CharFn:
     if abs(beta0 - 1.0) > NORMALIZATION_TOL:
         warnings.warn(
             f"rescaling characteristic function: constant coefficient was {beta0:.6g}",
-            stacklevel=2,
+            stacklevel=3,
         )
     if beta0 != 1.0:
         beta = beta * (1.0 / beta0)
@@ -79,12 +86,23 @@ def gaussian_cf(mean, cov) -> CharFn:
 
 
 def forward_cf(pnd: PND) -> CharFn:
-    """Exact characteristic function of a polynomial-normal density, from ``PND.hermite``."""
+    """Exact characteristic function of a polynomial-normal density, from
+    ``PND.hermite``; sigma = A^{-1} is read from A's form, not factored."""
     L = pnd.form.whitener
     g = Polynomial.from_terms(pnd.dim, pnd.hermite.coeffs)
     beta = affine_substitute(g, L.T, np.zeros(pnd.dim))
-    sigma = L @ L.T  # = A^{-1}
-    return make_charfn(beta, sigma, pnd.shift)
+    return _build_charfn(beta, pnd.form.inverse(), pnd.shift)
+
+
+def _inverse_parts(beta: Polynomial, sigma: QuadForm, shift):
+    """``inverse_cf_parts`` on sigma's form, returning the form of A = sigma^{-1}
+    (read from sigma's factors; its root W is sigma's whitener: L_A^{-T} = W)."""
+    form = sigma.inverse()
+    W, d = form.root, form.dim
+    g = affine_substitute(beta, W, np.zeros(d))
+    ptilde = from_hermite(HermiteCoeffs.from_coeffs(d, g.terms))
+    poly = affine_substitute(ptilde, W.T, -W.T @ shift)
+    return poly, form, np.array(shift)
 
 
 def inverse_cf_parts(cf: CharFn):
@@ -94,22 +112,15 @@ def inverse_cf_parts(cf: CharFn):
     sqrt(det A) / (2 pi)^{d/2} * poly(x) * exp(-(x-b)' A (x-b) / 2),
     which is a genuine density iff poly is nonnegative.
     """
-    # sigma = K K' and W = K^{-T}, so A = W W' is whitened by K: L_A^{-T} = W, L_A^{-1} = W'.
-    W = make_quadform(cf.sigma).whitener
-    A = np.linalg.inv(cf.sigma)
-    A = 0.5 * (A + A.T)
-    d = cf.dim
-    g = affine_substitute(cf.beta, W, np.zeros(d))
-    ptilde = from_hermite(HermiteCoeffs.from_coeffs(d, g.terms))
-    poly = affine_substitute(ptilde, W.T, -W.T @ cf.shift)
-    return poly, A, np.array(cf.shift)
+    poly, form, b = _inverse_parts(cf.beta, make_quadform(cf.sigma), cf.shift)
+    return poly, form.matrix, b
 
 
 def inverse_cf(cf: CharFn, budget: SearchBudget | None = None) -> PND:
     """Inverse transform; raises NegativeDensity when the candidate is not a
     characteristic function of any polynomial-normal density."""
-    poly, A, b = inverse_cf_parts(cf)
-    return make_pnd(poly, A, b, budget)
+    poly, form, b = _inverse_parts(cf.beta, make_quadform(cf.sigma), cf.shift)
+    return _build_pnd(poly, form, b, budget or SearchBudget())
 
 
 def cf_eval(cf: CharFn, t) -> complex:

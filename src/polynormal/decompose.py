@@ -39,6 +39,7 @@ from .pnd import (
     SearchBudget,
     _build_pnd,
     find_min_poly,
+    make_quadform,
     minimize_polynomial,
     pnd_to_dict,
     polish_minimum,
@@ -257,7 +258,7 @@ def decompose(
     # and the scan above has gated p_theta with the stricter RESCALE_TOL.
     factor_y = _build_pnd(
         affine_substitute(p_theta, pnd.form.root.T, np.zeros(pnd.dim)),
-        pnd.form.matrix / theta**2,
+        make_quadform(pnd.form.matrix / theta**2),
         np.zeros(pnd.dim),
         budget=None,
     )

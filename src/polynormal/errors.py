@@ -14,7 +14,8 @@ class NotSymmetric(PolynormalError):
 
 
 class NotPositiveDefinite(PolynormalError):
-    """Matrix has a nonpositive Cholesky pivot."""
+    """Matrix is not numerically positive definite: a nonpositive Cholesky
+    pivot or eigenvalue, or a whitening residual above tolerance."""
 
 
 class NegativeDensity(PolynormalError):

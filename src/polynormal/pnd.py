@@ -55,9 +55,12 @@ class QuadForm:
 
     A = K K' with K = ``root``, and ``whitener`` is L = K^{-T}: L' A L = I,
     L^{-1} = K' and A^{-1} = L L'; ``sqrt_det`` is sqrt(det A).  Only
-    ``make_quadform`` chooses K (A's lower Cholesky factor); readers rely on
-    these identities alone, never on K being triangular, as any such K
-    gives the same distributional results.
+    ``make_quadform`` factors a form, choosing K = A^{1/2}, the symmetric
+    square root; ``inverse`` reads A^{-1}'s form from these factors.  Every
+    K gives the same density, characteristic function and normalization,
+    and readers rely on the identities above alone, never on K's shape.
+    The axis condition of ``precheck`` is not distributional: it reads the
+    whitened polynomial's coordinates, which A^{1/2} permutes with A's.
     """
 
     dim: int
@@ -65,6 +68,13 @@ class QuadForm:
     root: np.ndarray
     whitener: np.ndarray
     sqrt_det: float
+
+    def inverse(self) -> "QuadForm":
+        """The form of A^{-1} = L L', factored by L, whitened by K; no new factorization."""
+        S = self.whitener @ self.whitener.T
+        S = 0.5 * (S + S.T)
+        S.setflags(write=False)
+        return QuadForm(self.dim, S, self.whitener, self.root, 1.0 / self.sqrt_det)
 
 
 def make_quadform(A) -> QuadForm:
@@ -76,22 +86,29 @@ def make_quadform(A) -> QuadForm:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
     A = 0.5 * (A + A.T)
     try:
-        K = np.linalg.cholesky(A)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+    w, V = np.linalg.eigh(A)
+    if not w[0] > 0.0:  # Cholesky can pass a matrix whose eigenvalues round to 0 or below
+        raise NotPositiveDefinite(f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e}")
+    root_w = np.sqrt(w)
+    K = (V * root_w) @ V.T
     L = np.linalg.inv(K).T
     resid = float(np.max(np.abs(L.T @ A @ L - np.eye(A.shape[0]))))
     if resid > WHITEN_TOL:
         raise NotPositiveDefinite(f"whitening residual {resid:.3e} exceeds {WHITEN_TOL}")
     for a in (A, K, L):
         a.setflags(write=False)
-    return QuadForm(A.shape[0], A, K, L, float(np.prod(np.diag(K))))
+    return QuadForm(A.shape[0], A, K, L, float(np.prod(root_w)))
 
 
 @dataclass(frozen=True)
 class PND:
     """Polynomial-normal density model, built only by ``_build_pnd``.
 
+    ``form`` is the precision A, factored once by ``make_quadform``; the
+    covariance A^{-1} of the characteristic function is ``form.inverse()``.
     ``scan`` is the (budget, result) of the minimum scan of ``poly`` that
     validated it, or None; ``find_min_poly`` reuses it for the same budget.
     ``whitened`` is norm_const * p(L u + b) and ``hermite`` its Hermite
@@ -435,17 +452,17 @@ def make_pnd(p: Polynomial, A, b, budget: SearchBudget | None = None) -> PND:
     Rejects polynomials that scan strictly below the negativity tolerance
     and densities whose constant Hermite coefficient is nonpositive.
     """
-    return _build_pnd(p, A, b, budget or SearchBudget())
+    return _build_pnd(p, make_quadform(A), b, budget or SearchBudget())
 
 
-def _build_pnd(p: Polynomial, A, b, budget: SearchBudget | None) -> PND:
-    """``make_pnd``'s checks and normalization; with budget None, no scan.
+def _build_pnd(p: Polynomial, form: QuadForm, b, budget: SearchBudget | None) -> PND:
+    """``make_pnd``'s checks and normalization on an already factored form;
+    with budget None, no scan.
 
     Skipping the scan is only for callers that have already gated the
     nonnegativity of p themselves.  The whitening made for beta_0 and its
     Hermite expansion are kept, normalized (``PND.whitened``, ``PND.hermite``).
     """
-    form = make_quadform(A)
     b = np.asarray(b, dtype=float).reshape(-1)
     if p.dim != form.dim or b.shape[0] != form.dim:
         raise DimensionMismatch(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -504,11 +503,3 @@ def polynomial_from_dict(data: Mapping) -> Polynomial:
     dim = int(data["dim"])
     terms = [(tuple(t["alpha"]), float(t["coef"])) for t in data["terms"]]
     return Polynomial.from_terms(dim, terms)
-
-
-def polynomial_to_json(p: Polynomial) -> str:
-    return json.dumps(polynomial_to_dict(p), indent=2, sort_keys=True)
-
-
-def polynomial_from_json(text: str) -> Polynomial:
-    return polynomial_from_dict(json.loads(text))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFn, inverse_cf_parts, make_charfn
+from .charfn import CharFn, _inverse_parts, make_charfn
 from .errors import DimensionMismatch, NoWitnessFound
 from .decompose import GaussianFactor
 from .pnd import PND, _build_pnd, _gauss_scale, _local_minima, density_many, gauss_hermite_nodes, make_quadform
@@ -85,8 +85,8 @@ def _as_pnd(g) -> PND:
     if isinstance(g, PND):
         return g
     if isinstance(g, GaussianFactor):
-        A = np.linalg.inv(g.cov)
-        return _build_pnd(Polynomial.constant(len(A), 1.0), A, g.mean, None)
+        form = make_quadform(g.cov).inverse()  # the precision, read from the covariance's factors
+        return _build_pnd(Polynomial.constant(form.dim, 1.0), form, g.mean, None)
     raise TypeError(f"expected PND or GaussianFactor, got {type(g)!r}")
 
 
@@ -169,13 +169,16 @@ def example4_B_exact(params: Example4Params) -> float:
 
 
 def example4_signed_density(params: Example4Params):
-    """Recomputed inverse transform of the candidate, with no density gate.
+    """Recomputed inverse transform of the candidate (the parts of
+    ``example4_candidate_cf``, its sigma factored once), with no density gate.
 
     Returns (value, poly, A): the signed density as a function of a point,
     and the polynomial and matrix of the inverse transform.
     """
-    poly, A, _ = inverse_cf_parts(example4_candidate_cf(params))
-    scale = make_quadform(A).sqrt_det / (2.0 * math.pi)
+    validate_example4_params(params)
+    sigma = make_quadform([[params.a11, params.a12], [params.a12, params.a22]])
+    poly, form, _ = _inverse_parts(Polynomial.from_terms(2, _CANDIDATE_BETA), sigma, np.zeros(2))
+    A, scale = form.matrix, form.sqrt_det / (2.0 * math.pi)
 
     def value(x):
         x = np.asarray(x, dtype=float)

@@ -13,14 +13,16 @@ from polynormal.charfn import (
     forward_cf,
     gaussian_cf,
     inverse_cf,
+    inverse_cf_parts,
     make_charfn,
 )
+from polynormal.decompose import GaussianFactor
 from polynormal.errors import DimensionMismatch, NegativeDensity, NotPositiveDefinite
 from polynormal.pnd import gauss_hermite_nodes, make_pnd
 from polynormal.polyalg import Polynomial
-from polynormal.verify import Example4Params, example4_candidate_cf
+from polynormal.verify import Example4Params, _as_pnd, example4_candidate_cf, example4_signed_density
 
-from conftest import FAST_BUDGET, eligible_quartic_poly, random_pnd
+from conftest import FAST_BUDGET, eligible_quartic_poly, random_pd_matrix, random_pnd
 
 EQ6_BETA = {
     (2, 2): 1.0 / 3.0,
@@ -57,6 +59,31 @@ def test_forward_cf_substitutes_once(substitution_calls):
     substitution_calls.clear()
     forward_cf(pnd)
     assert len(substitution_calls) == 1
+
+
+def test_each_transform_factors_at_most_one_form(monkeypatch):
+    # Only make_quadform factors (one Cholesky check, one inversion of the
+    # root); every other form is read from one it made.
+    calls = []
+    for name in ("cholesky", "inv"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
+    rng = np.random.default_rng(4)
+    pnd = random_pnd(rng, 2, half_degree=2)
+    cf, partner = forward_cf(pnd), gaussian_cf(np.zeros(2), random_pd_matrix(rng, 2))
+    factor = GaussianFactor(mean=np.zeros(2), cov=random_pd_matrix(rng, 2))
+    runs = {
+        "forward_cf": (lambda: forward_cf(pnd), 0),
+        "inverse_cf_parts": (lambda: inverse_cf_parts(cf), 1),
+        "inverse_cf": (lambda: inverse_cf(cf, FAST_BUDGET), 1),
+        "cf_multiply": (lambda: cf_multiply(cf, partner), 1),
+        "_as_pnd": (lambda: _as_pnd(factor), 1),
+        "example4_signed_density": (lambda: example4_signed_density(Example4Params(0.5, 0.1, 0.5)), 1),
+    }
+    for name, (run, forms) in runs.items():
+        calls.clear()
+        run()
+        assert calls == ["cholesky", "inv"] * forms, name
 
 
 def _numeric_cf(pnd, ts, nodes=64):

@@ -17,6 +17,7 @@ from polynormal.errors import (
     ZeroIntegral,
 )
 from polynormal.pnd import (
+    WHITEN_TOL,
     SearchBudget,
     _gauss_scale,
     density,
@@ -264,6 +265,28 @@ def test_a_quadform_keeps_its_root_and_determinant(dim):
         assert form.sqrt_det == pytest.approx(sqrt_det, rel=1e-14)
         unit = make_pnd(Polynomial.constant(dim, 1.0), A, np.zeros(dim), FAST_BUDGET)
         assert _gauss_scale(unit) * (2.0 * math.pi) ** (dim / 2.0) == pytest.approx(sqrt_det, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_quadform_inverse_is_read_from_its_factors(dim):
+    rng = np.random.default_rng(10 + dim)
+    for _ in range(5):
+        form = make_quadform(random_pd_matrix(rng, dim))
+        inv = form.inverse()
+        assert np.max(np.abs(inv.root @ inv.root.T - inv.matrix)) <= 1e-14 * np.max(np.abs(inv.matrix))
+        assert np.max(np.abs(inv.whitener.T @ inv.matrix @ inv.whitener - np.eye(dim))) <= WHITEN_TOL
+        assert form.sqrt_det * inv.sqrt_det == pytest.approx(1.0, abs=1e-14)
+        back = inv.inverse()
+        assert back.root.tobytes() == form.root.tobytes()
+        assert back.whitener.tobytes() == form.whitener.tobytes()
+
+
+def test_quadform_rejects_a_matrix_whose_eigenvalues_round_to_zero():
+    # v v' for one vector v: Cholesky passes it, and its smallest computed
+    # eigenvalue is 0, so it has no square root to whiten with.
+    A = [[0.3739024274507989, -0.1754529257910946], [-0.1754529257910946, 0.08233091552396012]]
+    with pytest.raises(NotPositiveDefinite):
+        make_quadform(A)
 
 
 def test_pnd_json_roundtrip(example4_pnd):

@@ -55,7 +55,8 @@ def test_gaussian_factor_is_promoted_to_a_unit_density(dim):
     g = _as_pnd(GaussianFactor(mean=mean, cov=cov))
     assert g.norm_const == 1.0
     assert g.poly.terms.dense().tobytes() == Polynomial.constant(dim, 1.0).terms.dense().tobytes()
-    assert g.form.matrix.tobytes() == make_quadform(np.linalg.inv(cov)).matrix.tobytes()
+    assert g.form.matrix.tobytes() == make_quadform(cov).inverse().matrix.tobytes()
+    assert np.max(np.abs(g.form.matrix @ cov - np.eye(dim))) <= 1e-13
     assert g.shift.tobytes() == mean.tobytes()
 
 
