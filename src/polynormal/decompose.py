@@ -16,8 +16,9 @@ before: by their values when one is still negative, else by local
 polishes from them; global minimum scans run only at the start and to
 confirm the theta the split takes, the bisection's end point plus its
 tolerance.  A confirmation that finds a negative point, or a minimum it
-does not attain, adds it as a witness, refutes every theta up to its own,
-and runs the bisection again.  A
+does not attain, adds it as a witness, refutes every theta up to its own
+(and past it, after a run of positive minima not attained), and runs the
+bisection again.  A
 split needs an attained, nonnegative gate scan at its theta: with no
 explicit theta, that is the search's confirmation, and no scan repeats it.
 
@@ -39,7 +40,6 @@ from .pnd import (
     SearchBudget,
     _build_pnd,
     find_min_poly,
-    make_quadform,
     minimize_polynomial,
     pnd_to_dict,
     polish_minimum,
@@ -157,14 +157,19 @@ def theta_floor(
     every theta up to the scanned one counts as inadmissible (a smaller
     theta is never more admissible), and the bisection runs again from the
     start, to end above the scanned theta; where polishes and scans agree,
-    it takes the midpoints of a bisection that scans every one.  So
-    floor + tol is confirmed by an attained, nonnegative global scan (the
-    floor itself is not scanned), and unless the search ran down to 0, a
-    theta at most tol below the floor has an explicit negative point or a
-    scan whose minimum is not attained.  No confirmation runs when
-    floor + tol >= 1, where no split is possible, or when the bisection
-    ends at its start, which its own scan confirms; nor for a constant
-    polynomial, whose floor is tol.
+    it takes the midpoints of a bisection that scans every one.  A
+    confirmation that reads nonnegative but not attained leaves a witness
+    that refutes no theta past its own, so a run of them would move the
+    search by only tol per scan: the k-th such confirmation refutes
+    (2^(k-1) - 1) tol past its theta as well, and at most about
+    log2(1 / tol) of them run.  So floor + tol is confirmed by an attained,
+    nonnegative global scan (the floor itself is not scanned), and unless
+    the search ran down to 0, a theta at most tol below the floor (at most
+    2^(k-1) tol after k confirmations not attained) has an explicit
+    negative point or a scan whose minimum is not attained.  No
+    confirmation runs when floor + tol >= 1, where no split is possible,
+    or when the bisection ends at its start, which its own scan confirms;
+    nor for a constant polynomial, whose floor is tol.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -183,7 +188,8 @@ def theta_floor(
             f"{scan.point}, a minimum not attained in the scan's box"
         )
     witnesses = [scan.point]
-    refuted_at = 0.0  # the highest theta a global scan found inadmissible
+    refuted_at = 0.0  # the highest theta counted inadmissible
+    skip = 0.0  # how far past its theta the next positive, unattained confirmation refutes
 
     def refuted(theta: float) -> bool:
         if theta <= refuted_at:
@@ -217,6 +223,8 @@ def theta_floor(
             return ThetaFloor(hi, theta, p_theta, scan)
         witnesses.append(scan.point)
         refuted_at = theta
+        if scan.value >= RESCALE_TOL:  # its point refutes no theta past its own
+            refuted_at, skip = theta + skip, 2.0 * skip + tol
 
 
 def decompose(
@@ -258,7 +266,7 @@ def decompose(
     # and the scan above has gated p_theta with the stricter RESCALE_TOL.
     factor_y = _build_pnd(
         affine_substitute(p_theta, pnd.form.root.T, np.zeros(pnd.dim)),
-        make_quadform(pnd.form.matrix / theta**2),
+        pnd.form.scaled(theta),
         np.zeros(pnd.dim),
         budget=None,
     )

@@ -14,8 +14,9 @@ class NotSymmetric(PolynormalError):
 
 
 class NotPositiveDefinite(PolynormalError):
-    """Matrix is not numerically positive definite: a nonpositive Cholesky
-    pivot or eigenvalue, or a whitening residual above tolerance."""
+    """Matrix is not numerically positive definite: an entry that is not
+    finite, a nonpositive computed eigenvalue, or a whitening residual
+    above tolerance."""
 
 
 class NegativeDensity(PolynormalError):

@@ -56,9 +56,10 @@ class QuadForm:
     A = K K' with K = ``root``, and ``whitener`` is L = K^{-T}: L' A L = I,
     L^{-1} = K' and A^{-1} = L L'; ``sqrt_det`` is sqrt(det A).  Only
     ``make_quadform`` factors a form, choosing K = A^{1/2}, the symmetric
-    square root; ``inverse`` reads A^{-1}'s form from these factors.  Every
-    K gives the same density, characteristic function and normalization,
-    and readers rely on the identities above alone, never on K's shape.
+    square root; ``inverse`` and ``scaled`` read the forms of A^{-1} and
+    A / s^2 from these factors.  Every K gives the same density,
+    characteristic function and normalization, and readers rely on the
+    identities above alone, never on K's shape.
     The axis condition of ``precheck`` is not distributional: it reads the
     whitened polynomial's coordinates, which A^{1/2} permutes with A's.
     """
@@ -76,21 +77,29 @@ class QuadForm:
         S.setflags(write=False)
         return QuadForm(self.dim, S, self.whitener, self.root, 1.0 / self.sqrt_det)
 
+    def scaled(self, s: float) -> "QuadForm":
+        """The form of A / s^2 (s > 0), factored by K / s, whitened by L s; no new factorization."""
+        M, K, L = self.matrix / s**2, self.root / s, self.whitener * s
+        for a in (M, K, L):
+            a.setflags(write=False)
+        return QuadForm(self.dim, M, K, L, self.sqrt_det / s**self.dim)
+
 
 def make_quadform(A) -> QuadForm:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise NotPositiveDefinite("matrix has an entry that is not finite")
     asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
     A = 0.5 * (A + A.T)
     try:
-        np.linalg.cholesky(A)
+        w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    w, V = np.linalg.eigh(A)
-    if not w[0] > 0.0:  # Cholesky can pass a matrix whose eigenvalues round to 0 or below
+    if not w[0] > 0.0:
         raise NotPositiveDefinite(f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e}")
     root_w = np.sqrt(w)
     K = (V * root_w) @ V.T
@@ -417,9 +426,12 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
     ``_local_minima`` call, each in its own round's box.  The result is the
     lowest point found, the first in seed order on ties.
 
-    ``attained`` is False when the last round still improved on the
-    earlier ones or the best point sits at the box fringe -- the signature
-    of an infimum approached only at infinity.
+    ``attained`` is False when the best point sits at the box fringe, or
+    when the last round still improved on the earlier ones with a point
+    outside the interior of their largest box -- the signature of an
+    infimum approached only at infinity.  A best point inside that interior
+    is a local minimum the earlier boxes hold: it is attained, however
+    late a seed fell into its well.
     """
     budget = budget or SearchBudget()
     d = p.dim
@@ -431,8 +443,10 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
     best_pt, best_val = pts[i], float(vals[i])
     prev = float(vals[radii < last].min(initial=p.eval(np.zeros(d))))  # the best before the last round
     still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
-    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * last)
-    return MinimizationResult(best_pt, best_val, attained=(not still_improving) and interior)
+    reach = float(np.max(np.abs(best_pt)))
+    held_before = budget.doublings > 0 and reach <= 0.9 * (0.5 * last)  # the earlier boxes' interior
+    attained = held_before or (not still_improving and reach <= 0.9 * last)
+    return MinimizationResult(best_pt, best_val, attained=attained)
 
 
 def find_min_poly(pnd: PND, budget: SearchBudget | None = None) -> MinimizationResult:

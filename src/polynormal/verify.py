@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFn, _inverse_parts, make_charfn
+from .charfn import CharFn, _build_charfn, _inverse_parts
 from .errors import DimensionMismatch, NoWitnessFound
 from .decompose import GaussianFactor
 from .pnd import PND, _build_pnd, _gauss_scale, _local_minima, density_many, gauss_hermite_nodes, make_quadform
@@ -141,12 +141,17 @@ _CANDIDATE_BETA = {
 }
 
 
+def _candidate(params: Example4Params):
+    """The candidate's polynomial part and its exponent sigma, factored."""
+    validate_example4_params(params)
+    sigma = make_quadform([[params.a11, params.a12], [params.a12, params.a22]])
+    return Polynomial.from_terms(2, _CANDIDATE_BETA), sigma
+
+
 def example4_candidate_cf(params: Example4Params) -> CharFn:
     """Candidate factor: the full polynomial part with only part of the
     Gaussian exponent."""
-    validate_example4_params(params)
-    sigma = np.array([[params.a11, params.a12], [params.a12, params.a22]])
-    return make_charfn(Polynomial.from_terms(2, _CANDIDATE_BETA), sigma, np.zeros(2))
+    return _build_charfn(*_candidate(params), np.zeros(2))
 
 
 def example4_B_exact(params: Example4Params) -> float:
@@ -169,15 +174,13 @@ def example4_B_exact(params: Example4Params) -> float:
 
 
 def example4_signed_density(params: Example4Params):
-    """Recomputed inverse transform of the candidate (the parts of
-    ``example4_candidate_cf``, its sigma factored once), with no density gate.
+    """Recomputed inverse transform of the candidate, its sigma factored
+    once, with no density gate.
 
     Returns (value, poly, A): the signed density as a function of a point,
     and the polynomial and matrix of the inverse transform.
     """
-    validate_example4_params(params)
-    sigma = make_quadform([[params.a11, params.a12], [params.a12, params.a22]])
-    poly, form, _ = _inverse_parts(Polynomial.from_terms(2, _CANDIDATE_BETA), sigma, np.zeros(2))
+    poly, form, _ = _inverse_parts(*_candidate(params), np.zeros(2))
     A, scale = form.matrix, form.sqrt_det / (2.0 * math.pi)
 
     def value(x):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -408,22 +409,27 @@ def test_a_swapped_pair_splits_at_one_theta(workdir):
         assert (code, theta, diag["verdict"]) == (0, 0.8477163769599019, "Eligible")
 
 
-# Derandomized: a confirmation scan that reads a positive minimum as not
-# attained makes the theta search creep up by its tolerance (the density of
-# this family at seed 170, d = 3, A not diagonal, runs for minutes).
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.integers(2, 3), st.booleans(), st.integers(0, 2**32 - 1))
-def test_a_coordinate_permutation_permutes_the_axis_terms_and_keeps_the_split(dim, diagonal, seed):
-    # q^2 + sum_j w_j x_j^4 + c with q multilinear, so x_j^4 has coefficient
-    # w_j.  With a diagonal A, some w_j are 0, and those axes fail the axis
-    # condition in every order.
+def _quartic_family(dim, diagonal, seed):
+    """(p, A, b, rng) of q^2 + sum_j w_j x_j^4 + c with q multilinear, so
+    x_j^4 has coefficient w_j.  With a diagonal A, some w_j are 0, and
+    those axes fail the axis condition in every order."""
     rng = np.random.default_rng(seed)
     q = Polynomial.from_terms(dim, {a: rng.uniform(-1.0, 1.0) for a in itertools.product((0, 1), repeat=dim) if sum(a) <= 2})
     w = rng.uniform(0.2, 1.0, dim) * (rng.random(dim) < 0.7 if diagonal else 1.0)
     quartics = {tuple(4 * np.eye(dim, dtype=int)[j]): w[j] for j in range(dim)}
     p = q * q + Polynomial.from_terms(dim, {**quartics, (0,) * dim: rng.uniform(0.2, 1.0)})
     A = np.diag(rng.uniform(0.5, 2.0, dim)) if diagonal else random_pd_matrix(rng, dim)
-    b = rng.uniform(-1.0, 1.0, dim)
+    return p, A, rng.uniform(-1.0, 1.0, dim), rng
+
+
+# The scans' random starts do not permute with the coordinates.  Where one
+# order's confirmation scan misses a well in which p_theta < 0, that order
+# splits too low, a false split, and this test fails: 3 examples in 8000
+# (seeds 313, 1182 and 1975 with d = 3 and A not diagonal).
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_coordinate_permutation_permutes_the_axis_terms_and_keeps_the_split(dim, diagonal, seed):
+    p, A, b, rng = _quartic_family(dim, diagonal, seed)
     perm = rng.permutation(dim)
     if np.array_equal(perm, np.arange(dim)):
         perm = perm[::-1]
@@ -433,6 +439,19 @@ def test_a_coordinate_permutation_permutes_the_axis_terms_and_keeps_the_split(di
     assert (code_p, theta_p, diag_p["verdict"]) == (code, theta, diag["verdict"])
     lead, lead_p = (np.array(d["report"]["leading_coeffs"]) for d in (diag, diag_p))
     assert np.max(np.abs(lead_p - lead[perm])) <= 1e-12 * max(1.0, np.max(np.abs(lead)))
+
+
+def test_a_well_found_only_in_the_last_scan_round_does_not_stall_the_split(workdir):
+    # Seed 170, d = 3, A not diagonal: from theta ~ 0.9 up, only the last
+    # round of each confirmation scan finds the well where p_theta is
+    # least, deep inside the earlier rounds' boxes.  Read as a minimum not
+    # attained, it would refute every confirmation, and the theta search
+    # would creep up by its tolerance per scan, for minutes.
+    p, A, b, _ = _quartic_family(3, False, 170)
+    start = time.perf_counter()
+    code, theta, _ = _split_in_order(workdir, p, A, b, np.arange(3))
+    assert time.perf_counter() - start < 20.0
+    assert (code, theta) == (0, 0.8992348171549654)
 
 
 def test_outputs_are_deterministic(workdir, example4_json):

@@ -241,6 +241,33 @@ def test_theta_floor_replays_after_a_confirmation_not_attained(monkeypatch):
     assert floor + tol < replayed <= floor + 2 * tol
 
 
+def test_a_run_of_confirmations_not_attained_moves_the_search_geometrically(monkeypatch):
+    # Every scan below theta = 0.9 is made to report its positive minimum
+    # as not attained.  Refuting only up to its own theta, each confirmation
+    # would move the search by tol, some 2e5 scans; the k-th refutes
+    # (2^(k-1) - 1) tol past it as well, so about log2((0.9 - floor) / tol)
+    # of them run, and the floor passes 0.9 by less than it travelled.
+    module = importlib.import_module("polynormal.decompose")
+    h = HermiteCoeffs.from_coeffs(1, {(2,): 0.5, (0,): 1.0})  # floor sqrt(1/2); p_theta(0) grows with theta
+    tol, cut = 1e-6, 0.9
+    below_cut = theta_rescale(h, cut).eval(np.zeros(1))
+    scans = []
+
+    def unattained_below_cut(p, budget=None):
+        result = minimize_polynomial(p, budget)
+        if p.eval(np.zeros(1)) < below_cut:
+            result = MinimizationResult(result.point, result.value, attained=False)
+        scans.append(result)
+        return result
+
+    monkeypatch.setattr(module, "minimize_polynomial", unattained_below_cut)
+    found = theta_floor(h, tol)
+    unattained = [r for r in scans[1:] if not r.attained]
+    assert all(r.value >= RESCALE_TOL for r in unattained)
+    assert len(unattained) <= 20 and len(scans) == len(unattained) + 2
+    assert found.scan.attained and cut - tol <= found.floor <= cut + (cut - math.sqrt(0.5))
+
+
 def test_decompose_gates_on_the_theta_searchs_confirmation(scan_calls):
     # The start scan and the confirmation at floor + tol, which is the gate:
     # no third scan at the theta of the split.

@@ -282,9 +282,15 @@ def test_a_quadform_inverse_is_read_from_its_factors(dim):
 
 
 def test_quadform_rejects_a_matrix_whose_eigenvalues_round_to_zero():
-    # v v' for one vector v: Cholesky passes it, and its smallest computed
-    # eigenvalue is 0, so it has no square root to whiten with.
+    # v v' for one vector v: its smallest computed eigenvalue is 0, so it
+    # has no square root to whiten with.
     A = [[0.3739024274507989, -0.1754529257910946], [-0.1754529257910946, 0.08233091552396012]]
+    with pytest.raises(NotPositiveDefinite):
+        make_quadform(A)
+
+
+@pytest.mark.parametrize("A", [[[math.nan]], [[math.inf]], [[1.0, math.nan], [math.nan, 1.0]]])
+def test_quadform_rejects_a_matrix_that_is_not_finite(A):
     with pytest.raises(NotPositiveDefinite):
         make_quadform(A)
 
