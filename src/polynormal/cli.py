@@ -27,6 +27,7 @@ from .charfn import (
 from .decompose import (
     DEFAULT_THETA_TOL,
     VERDICT_HAS_REAL_ZERO,
+    check_theta_tol,
     decompose,
     decomposition_to_dict,
     diagnosis_to_dict,
@@ -84,8 +85,7 @@ class RunConfig:
         # top-level parser and every subcommand), so only given ones are set.
         given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
         cfg = RunConfig(**given)
-        if not 0.0 < cfg.theta_tol < np.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {cfg.theta_tol}")
+        check_theta_tol(cfg.theta_tol)
         cfg.budget()  # rejects a malformed seed for every subcommand
         return cfg
 

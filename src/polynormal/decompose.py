@@ -13,7 +13,10 @@ adds an independent Gaussian to the first factor), so the minimal
 admissible theta is found by bisection.  Each midpoint is decided by
 the stored witness points, where the rescaled polynomial went negative
 before: by their values when one is still negative, else by local
-polishes from them; global minimum scans run only at the start and to
+polishes from them.  Both read the search's theta family
+(``polyalg._ThetaFamily``), whose jet rows are polynomials in theta^-2,
+planned once per search; ``theta_rescale`` forms only the polynomials a
+global scan reads.  Global minimum scans run only at the start and to
 confirm the theta the split takes, the bisection's end point plus its
 tolerance.  A confirmation that finds a negative point, or a minimum it
 does not attain, adds it as a witness, refutes every theta up to its own
@@ -44,7 +47,7 @@ from .pnd import (
     pnd_to_dict,
     polish_minimum,
 )
-from .polyalg import HermiteCoeffs, Polynomial, affine_substitute, theta_rescale
+from .polyalg import HermiteCoeffs, Polynomial, _ThetaFamily, affine_substitute, theta_rescale
 from .positivity import PositivityReport, epsilon_bound, report_to_dict
 
 VERDICT_HAS_REAL_ZERO = "HasRealZero"
@@ -56,6 +59,9 @@ ZERO_TOL = 1e-9
 # The rescaled polynomial may dip this far below zero and still be accepted.
 RESCALE_TOL = -1e-12
 DEFAULT_THETA_TOL = 1e-6
+# Floats below 1 lie at most 2**-53 apart, so a bisection in (0, 1) whose
+# interval is wider than this always has a midpoint strictly inside it.
+MIN_THETA_TOL = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,12 @@ def precheck(pnd: PND, budget: SearchBudget | None = None) -> Diagnosis:
     return Diagnosis(verdict, None, None, scan.value, scan.point, scan.attained, report)
 
 
+def check_theta_tol(tol: float):
+    """A ValueError unless tol is finite and at least ``MIN_THETA_TOL``."""
+    if not MIN_THETA_TOL <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, at least 2**-52, got {tol}")
+
+
 def theta_floor(
     h: HermiteCoeffs,
     tol: float = DEFAULT_THETA_TOL,
@@ -150,7 +162,13 @@ def theta_floor(
     polish from a witness (inside the scan budget's box; all witnesses are
     polished together) reaches a point below it; the first such point then
     replaces its witness.  A polish never ends above its start, so a
-    negative witness decides the midpoint as its polish would.
+    negative witness decides the midpoint as its polish would.  Midpoints
+    are evaluated on the theta family of h, planned once per call: its jet
+    rows at the midpoint are one product of the powers of theta^-2 with
+    the planned rows, with no rescaled polynomial formed; ``theta_rescale``
+    runs once per global scan.  A ValueError when tol is below 2**-52, at
+    which the bisection's ends could become adjacent floats and it would
+    never end.
     The bisection's end point, plus tol, is confirmed by one more global
     scan, the gate scan of ``decompose``.  If that scan finds a negative
     point, or a minimum it does not attain, the point becomes a witness,
@@ -171,8 +189,7 @@ def theta_floor(
     or when the bisection ends at its start, which its own scan confirms;
     nor for a constant polynomial, whose floor is tol.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    check_theta_tol(tol)
     budget = budget or SearchBudget()
     if h.degree == 0:
         return ThetaFloor(tol, tol + tol, None, None)
@@ -187,14 +204,14 @@ def theta_floor(
             f"rescaled polynomial at theta = 1 - 1e-9 scans {scan.value:.6g} at "
             f"{scan.point}, a minimum not attained in the scan's box"
         )
-    witnesses = [scan.point]
+    family, witnesses = _ThetaFamily(h), [scan.point]
     refuted_at = 0.0  # the highest theta counted inadmissible
     skip = 0.0  # how far past its theta the next positive, unattained confirmation refutes
 
     def refuted(theta: float) -> bool:
         if theta <= refuted_at:
             return True
-        p_theta, stored = theta_rescale(h, theta), np.array(witnesses)
+        p_theta, stored = family.at(theta), np.array(witnesses)
         # A polish never ends above its start, so a witness already negative
         # decides the midpoint as its polish would; it is kept as it is.
         jet = p_theta._jet(stored)

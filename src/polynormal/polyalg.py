@@ -158,8 +158,70 @@ class _Expansion:
         return float(np.max(np.abs(self._map.dense(n) - other._map.dense(n))))
 
 
+def _jet_table(dense: np.ndarray, d: int):
+    """(powers, gather positions, coefficient rows) of the evaluation kernel of
+    the polynomials in ``dense``: the exponents of the d variables on its last
+    d axes, each of length n, and any axes before them a batch of polynomials.
+    Column k is a monomial of one of them or of a partial derivative, the
+    product over the axes j of the entry positions[j][k] of the flat table
+    x_j ** powers, kept where any row of the batch is nonzero.  The rows are
+    (r, batch..., columns): row 0 is the polynomial, row 1 + j its d/dx_j,
+    then one row per second partial d2/dx_i dx_j, i <= j, in that order."""
+    n = dense.shape[-1]
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    rows = np.zeros((1 + d + len(pairs),) + dense.shape)
+    rows[0] = dense
+    exponent = np.arange(1, n, dtype=float)
+    batch = (slice(None),) * (dense.ndim - d)
+
+    def partial(src, dst, j):  # scale by the exponent along axis j, shift down by one
+        lead = batch + (slice(None),) * j
+        rows[(dst,) + lead + (slice(-1),)] = (
+            rows[(src,) + lead + (slice(1, None),)] * exponent.reshape([n - 1] + [1] * (d - 1 - j))
+        )
+
+    for j in range(d):
+        partial(0, 1 + j, j)
+    for k, (i, j) in enumerate(pairs):
+        partial(1 + i, 1 + d + k, j)
+    stack = rows.reshape(rows.shape[:-d] + (-1,))
+    cols = np.flatnonzero(stack.reshape(-1, n**d).any(axis=0))
+    positions = tuple(e + n * j for j, e in enumerate(np.unravel_index(cols, (n,) * d)))
+    return np.arange(n), positions, stack[..., cols]
+
+
+class _Jet:
+    """The evaluation kernel over ``_eval_table``, a ``_jet_table`` with rows
+    (r, columns) of one polynomial in ``dim`` variables."""
+
+    __slots__ = ()
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        """The columns' monomials at a float array x (..., dim), not checked:
+        each axis's gathered powers multiplied in, from the first axis on."""
+        powers, positions, _ = self._eval_table
+        table = (x[..., None] ** powers).reshape(x.shape[:-1] + (-1,))
+        mono = table[..., positions[0]]
+        for axis in positions[1:]:
+            mono = mono * table[..., axis]
+        return mono
+
+    def _jet(self, pts: np.ndarray):
+        """Values (n,), gradients (n, dim), Hessians (n, dim, dim) and the sums of
+        the terms' magnitudes (n,), which bound the rounding of the values, at
+        an (n, dim) float array of points (not checked, unlike ``eval_many``)."""
+        d = self.dim
+        mono = self._gather(pts)
+        rows = self._eval_table[2]
+        # einsum sums each point's row alone, in one order whatever the batch
+        # (a BLAS product does not), so a point's result does not depend on it.
+        out = np.einsum("nk,rk->nr", mono, rows)
+        mag = np.einsum("nk,k->n", np.abs(mono), np.abs(rows[0]))
+        return out[:, 0], out[:, 1:d + 1], out[:, _hessian_rows(d)], mag
+
+
 @dataclass(frozen=True)
-class Polynomial(_Expansion):
+class Polynomial(_Expansion, _Jet):
     """Immutable polynomial on R^dim.
 
     ``terms`` maps exponent multi-indices to coefficients and is always in
@@ -233,31 +295,8 @@ class Polynomial(_Expansion):
 
     @functools.cached_property
     def _eval_table(self):
-        """(powers, gather positions, coefficient rows) of the evaluation kernel:
-        column k is a monomial of p or of a partial derivative, the product over
-        the axes j of the entry positions[j][k] of the flat table x_j ** powers;
-        row 0 is p, row 1 + j dp/dx_j, then one row per second partial
-        d2p/dx_i dx_j, i <= j, in that order."""
-        d, n = self.dim, self.degree + 1
-        pairs = [(i, j) for i in range(d) for j in range(i, d)]
-        rows = np.zeros((1 + d + len(pairs),) + (n,) * d)
-        rows[0] = self.terms.dense()
-        exponent = np.arange(1, n, dtype=float)
-
-        def partial(src, dst, j):  # scale by the exponent along axis j, shift down by one
-            lead = (slice(None),) * j
-            rows[(dst,) + lead + (slice(-1),)] = (
-                rows[(src,) + lead + (slice(1, None),)] * exponent.reshape([n - 1] + [1] * (d - 1 - j))
-            )
-
-        for j in range(d):
-            partial(0, 1 + j, j)
-        for k, (i, j) in enumerate(pairs):
-            partial(1 + i, 1 + d + k, j)
-        stack = rows.reshape(len(rows), -1)
-        cols = np.flatnonzero(stack.any(axis=0))
-        positions = tuple(e + n * j for j, e in enumerate(np.unravel_index(cols, (n,) * d)))
-        return np.arange(n), positions, stack[:, cols]
+        """``_jet_table`` of p."""
+        return _jet_table(self.terms.dense(), self.dim)
 
     def _monomials(self, x) -> np.ndarray:
         """Every column monomial of the evaluation table at points x (..., dim)."""
@@ -265,29 +304,6 @@ class Polynomial(_Expansion):
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"points have dimension {x.shape[-1]}, expected {self.dim}")
         return self._gather(x)
-
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        """``_monomials`` at a float array x (..., dim), not checked: each axis's
-        gathered powers multiplied in, from the first axis on."""
-        powers, positions, _ = self._eval_table
-        table = (x[..., None] ** powers).reshape(x.shape[:-1] + (-1,))
-        mono = table[..., positions[0]]
-        for axis in positions[1:]:
-            mono = mono * table[..., axis]
-        return mono
-
-    def _jet(self, pts: np.ndarray):
-        """Values (n,), gradients (n, dim), Hessians (n, dim, dim) and the sums of
-        the terms' magnitudes (n,), which bound the rounding of the values, at
-        an (n, dim) float array of points (not checked, unlike ``eval_many``)."""
-        d = self.dim
-        mono = self._gather(pts)
-        rows = self._eval_table[2]
-        # einsum sums each point's row alone, in one order whatever the batch
-        # (a BLAS product does not), so a point's result does not depend on it.
-        out = np.einsum("nk,rk->nr", mono, rows)
-        mag = np.einsum("nk,k->n", np.abs(mono), np.abs(rows[0]))
-        return out[:, 0], out[:, 1:d + 1], out[:, _hessian_rows(d)], mag
 
     def eval(self, x) -> float:
         """Evaluate at a single point of R^dim."""
@@ -393,10 +409,62 @@ def theta_rescale(h: HermiteCoeffs, theta: float) -> Polynomial:
     At theta = 1 this is exactly ``from_hermite(h)``.  The family's
     coefficients converge to those of ``from_hermite(h)`` as theta -> 1-.
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    _check_theta(theta)
     mono = _change_basis(_theta_scale(h.coeffs.dense(), theta), False)
     return _wrap(Polynomial, _theta_scale(mono, theta))
+
+
+def _check_theta(theta: float):
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+
+
+class _ThetaMember(_Jet):
+    """One p_theta of a ``_ThetaFamily``, with what the scan kernel reads of a
+    polynomial: ``dim``, ``degree`` and ``_jet``."""
+
+    __slots__ = ("dim", "degree", "_eval_table")
+
+    def __init__(self, dim: int, degree: int, table):
+        self.dim, self.degree, self._eval_table = dim, degree, table
+
+
+class _ThetaFamily:
+    """The evaluation kernel of ``theta_rescale(h, theta)`` for every theta,
+    planned once.
+
+    The coefficient of x^b in p_theta is sum_a T[b, a] beta_a theta^-(|a| + |b|),
+    T the He -> monomial table, whose entry vanishes unless each a_j - b_j is
+    even: a polynomial in v = theta^-2 of degree at most deg(h), and so is
+    every row of p_theta's jet, with the columns and the gather positions the
+    same for every theta.  ``at`` sums the rows of v^0, ..., v^deg at one theta.
+    Its coefficients round differently from ``theta_rescale``'s, which also
+    drops those at or below CANON_EPS.
+    """
+
+    def __init__(self, h: HermiteCoeffs):
+        d, deg = h.dim, h.degree
+        total = _layout(d, deg).total
+        beta, flat_total = h.coeffs.dense(), total.reshape(-1)
+        by_power = np.zeros((deg + 1, beta.size))  # row s: the coefficients of v^s
+        for k in range(deg + 1):  # the monomials of the He_a with |a| = k
+            part = _change_basis(np.where(total == k, beta, 0.0), False).reshape(-1)
+            live = np.flatnonzero(flat_total <= k)
+            by_power[(k + flat_total[live]) // 2, live] += part[live]
+        self._powers, self._positions, rows = _jet_table(by_power.reshape((deg + 1,) + beta.shape), d)
+        self._shape = rows.shape[0], rows.shape[2]
+        self._rows = rows.transpose(1, 0, 2).reshape(deg + 1, -1)
+        self._exponents = -2.0 * np.arange(deg + 1)
+        self.dim, self.degree = d, deg
+
+    def at(self, theta: float) -> _ThetaMember:
+        """p_theta; a ValueError, as from ``theta_rescale``, where a row is not finite."""
+        _check_theta(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = theta**self._exponents @ self._rows
+        if not np.isfinite(rows).all():
+            raise ValueError("coefficient is not finite")
+        return _ThetaMember(self.dim, self.degree, (self._powers, self._positions, rows.reshape(self._shape)))
 
 
 @functools.lru_cache(maxsize=64)

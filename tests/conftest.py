@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
+import contextlib
 import itertools
+import signal
 import sys
 
 import numpy as np
@@ -20,6 +22,24 @@ FAST_BUDGET = SearchBudget(doublings=3, starts=3, grid_points=5)
 def example4_poly() -> Polynomial:
     """(x1 x2 - 1)^2 + x2^2, expanded."""
     return Polynomial.from_terms(2, {(2, 2): 1.0, (1, 1): -2.0, (0, 0): 1.0, (0, 2): 1.0})
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time have
+    passed, so a test of a loop that might not end fails instead of hanging
+    (SIGALRM: POSIX, main thread)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

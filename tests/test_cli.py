@@ -20,7 +20,7 @@ from polynormal.cli import main
 from polynormal.pnd import SearchBudget
 from polynormal.polyalg import Polynomial, affine_substitute, polynomial_to_dict
 
-from conftest import eligible_quartic_poly, example4_poly, indefinite_top_form_poly, random_pd_matrix
+from conftest import deadline, eligible_quartic_poly, example4_poly, indefinite_top_form_poly, random_pd_matrix
 
 
 @pytest.fixture
@@ -332,6 +332,17 @@ def test_decompose_rejects_tolerances_not_finite_and_positive(workdir, capsys, t
     )
     assert main([f"--tol={tol}", "decompose", "--input", path]) == 2
     assert "finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["1e-17", "1e-20"])
+def test_decompose_rejects_a_tolerance_below_float_resolution_at_once(workdir, capsys, tol):
+    # The theta search would never end at such a tolerance; the deadline
+    # bounds the run should the option reach it.
+    poly = Polynomial.from_terms(1, {(4,): 1.0, (2,): 1.0, (0,): 1.0})
+    path = _write(workdir / "quartic.json", _pnd_json(poly, [[1.0]], [0.0]))
+    with deadline(20.0):
+        assert main([f"--tol={tol}", "decompose", "--input", path]) == 2
+    assert "at least 2**-52" in capsys.readouterr().err
 
 
 def test_grid_tol_is_not_an_option(workdir, example4_json, capsys):

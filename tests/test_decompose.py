@@ -35,6 +35,7 @@ import polyref
 from conftest import (
     FAST_BUDGET,
     all_multiindices,
+    deadline,
     eligible_quartic_poly,
     example4_poly,
     indefinite_top_form_poly,
@@ -194,6 +195,44 @@ def test_theta_floor_polishes_no_midpoint_that_a_stored_witness_refutes(monkeypa
     # The reference polishes from a negative witness at some midpoints.
     assert any(np.any(start < RESCALE_TOL) for start in ref_polishes)
     assert len(polishes) < len(ref_polishes)
+
+
+def test_theta_floor_rescales_once_per_global_scan(monkeypatch, scan_calls):
+    # The midpoints read the search's theta family; theta_rescale forms only
+    # the polynomials the search scans: the start and each confirmation.
+    module = importlib.import_module("polynormal.decompose")
+    rescaled = []
+
+    def recording(h, theta):
+        rescaled.append(theta)
+        return theta_rescale(h, theta)
+
+    monkeypatch.setattr(module, "theta_rescale", recording)
+    for name, h in _reference_cases():
+        del scan_calls[:], rescaled[:]
+        theta_floor(h, 1e-6)
+        assert len(rescaled) == len(scan_calls) >= 1, name
+        for p, theta in zip(scan_calls, rescaled):
+            assert p.terms.dense().tobytes() == theta_rescale(h, theta).terms.dense().tobytes(), name
+
+
+def _quartic_1d_hermite():
+    """x^4 + x^2 + 1 with A = [[1]], b = [0]."""
+    return make_pnd(Polynomial.from_terms(1, {(4,): 1.0, (2,): 1.0, (0,): 1.0}), [[1.0]], [0.0]).hermite
+
+
+def test_theta_floor_runs_at_the_smallest_tolerance():
+    with deadline(20.0):
+        found = theta_floor(_quartic_1d_hermite(), tol=2.0**-52)
+    assert 0.0 < found.floor < found.theta < 1.0 and found.scan.attained
+
+
+@pytest.mark.parametrize("tol", [1e-17, 1e-20])
+def test_theta_floor_rejects_a_tolerance_below_float_resolution(tol):
+    # Below 2**-52 the bisection's ends can become adjacent floats, and
+    # hi - lo > tol would hold forever; the deadline bounds such a search.
+    with deadline(20.0), pytest.raises(ValueError, match=r"at least 2\*\*-52"):
+        theta_floor(_quartic_1d_hermite(), tol=tol)
 
 
 def test_theta_floor_rejects_nonpositive_input():

@@ -1,7 +1,7 @@
 """The dense polynomial kernels against the sparse reference loops.
 
 Each kernel of ``polynormal.polyalg`` (evaluation, gradient, Hessian,
-products, the Hermite basis changes, the theta family and affine
+products, the Hermite basis changes, the theta rescaling and affine
 substitution) and
 ``charfn.cf_eval`` must match its loop in ``polyref`` within
 1e-12 * max(1, largest coefficient) for d = 1..3 and degree <= 8;
@@ -12,7 +12,9 @@ Evaluation points lie in [-1, 1]^d, where that scale bounds every value.
 Affine substitution must also match the recursive Horner substitution of
 ``polyref`` to the bit, for d = 1..4.  The tensor grids of the scans, the
 infimum estimate and the quadrature must be the ``itertools.product`` grids
-to the bit.
+to the bit.  The theta family's jet must match the jet of the rescaled
+polynomial within rounding: each entry within 64 eps times its row's sum of
+term magnitudes.
 """
 
 import itertools
@@ -29,6 +31,8 @@ from polynormal.errors import DimensionMismatch
 from polynormal.polyalg import (
     HermiteCoeffs,
     Polynomial,
+    _hessian_rows,
+    _ThetaFamily,
     _wrap,
     affine_substitute,
     from_hermite,
@@ -166,6 +170,40 @@ def test_theta_rescale_keeps_absent_terms_absent_where_the_scale_overflows():
 def test_theta_rescale_overflow_is_an_error():
     with pytest.raises(ValueError, match="not finite"), np.errstate(over="ignore", invalid="ignore"):
         theta_rescale(HermiteCoeffs.from_coeffs(2, {(6, 6): 1.0}), 1e-30)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_theta_family_jet_matches_the_rescaled_polynomials_jet(d):
+    # The family sums each coefficient over powers of theta^-2, where
+    # theta_rescale scales, changes basis and scales again, and drops
+    # coefficients at or below CANON_EPS, so the two round differently.  Each
+    # entry of the jet agrees within 64 eps times the sum of the magnitudes
+    # of its row's terms, which for the value is the jet's own bound ``mag``.
+    rng = np.random.default_rng(d)
+    eps = np.finfo(float).eps
+    for degree in range(2, 9):
+        h = HermiteCoeffs.from_coeffs(d, {a: rng.uniform(-1.0, 1.0) for a in all_multiindices(d, degree)})
+        family = _ThetaFamily(h)
+        pts = rng.uniform(-1.0, 1.0, size=(12, d)) * np.repeat([0.1, 1.0, 10.0], 4)[:, None]
+        for theta in (1e-3, 0.3, 0.7, 1.0 - 1e-9, 1.0):
+            p, member = theta_rescale(h, theta), family.at(theta)
+            assert (member.dim, member.degree) == (p.dim, p.degree)
+            got, want = member._jet(pts), p._jet(pts)
+            row_mag = np.abs(p._gather(pts)) @ np.abs(p._eval_table[2]).T
+            bounds = (want[3], row_mag[:, 1:d + 1], row_mag[:, _hessian_rows(d)])
+            for g, w, b in zip(got, want, bounds):
+                assert g.shape == w.shape
+                assert np.all(np.abs(g - w) <= 64 * eps * b), (degree, theta)
+            assert np.all(np.abs(got[3] - want[3]) <= 64 * eps * want[3]), (degree, theta)
+
+
+def test_theta_family_overflow_is_an_error():
+    # theta^-24 = 1e480 overflows: rows of inf and nan would follow, and a nan
+    # value compares false, so a midpoint would read admissible.
+    family = _ThetaFamily(HermiteCoeffs.from_coeffs(2, {(6, 6): 1.0, (0, 0): 1.0}))
+    assert np.isfinite(family.at(1e-3)._eval_table[2]).all()
+    with pytest.raises(ValueError, match="not finite"):
+        family.at(1e-20)
 
 
 @FAST
