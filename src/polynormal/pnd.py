@@ -12,7 +12,9 @@ recomputes p(L u + b) as an independent cross-check of the normalization.
 Nonnegativity is checked by a multi-start minimum scan over growing boxes
 (``minimize_polynomial``): one batch of projected Newton searches on the
 exact values, gradients and Hessians of the polynomial, which holds the
-seeds of every round, each start in its own round's box.
+seeds of every round, each start in its own round's box.  In one variable
+the seeds are the critical points of p and the box ends where p falls
+outward, which hold every minimum on the boxes; in more, random points.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import hermite_e
+from numpy.polynomial.polynomial import polyroots, polyval
 
 from .errors import (
     DimensionMismatch,
@@ -146,13 +149,16 @@ class SearchBudget:
     origin and ``starts`` uniform random points (default 2*dim + 1) with
     box-constrained Newton searches; the seeds of all rounds are searched
     in one batch.  The coarse grid is opt-in and off by default: with
-    ``grid_points`` >= 2 each round of a scan in d <= 3 also starts from
-    the 3 best points of a grid of ``grid_points`` per axis, which can
-    decide a minimum at small ``doublings`` and ``starts``.  Deterministic
-    for a fixed seed.  A malformed field is a ValueError naming it (a grid
-    of 1 point per axis too); so is, at scan time, a ``doublings`` whose
-    last box is too wide for the polynomial's degree and dimension (see
-    ``_last_radius``).
+    ``grid_points`` >= 2 each round of a scan in d = 2 or 3 also
+    starts from the 3 best points of a grid of ``grid_points`` per axis,
+    which can decide a minimum at small ``doublings`` and ``starts``.
+    Deterministic for a fixed seed.  A scan in one variable seeds each
+    round at the critical points of p and the box ends where p falls
+    outward instead (``pnd._critical_seeds``), and ignores ``starts``,
+    ``grid_points`` and ``seed``.  A malformed field is a ValueError naming
+    it (a grid of 1 point per axis too); so is, at scan time, a
+    ``doublings`` whose last box is too wide for the polynomial's degree and
+    dimension (see ``_last_radius``).
     """
 
     doublings: int = 6
@@ -404,14 +410,45 @@ def polish_minimum(p: Polynomial, starts, budget: SearchBudget, _start_jet=None)
     return _local_minima(p, starts, _last_radius(p, budget), _start_jet)
 
 
+def _critical_seeds(p, radii: np.ndarray):
+    """The seeds of a scan in one variable and the half-width of each one's
+    box: per round k, the origin, the distinct real parts of the roots of
+    p' that round k's box holds and round k - 1's does not (ascending), and
+    each end of the box where p decreases outward.
+
+    p' is ``p._slope_numerator()``: for a ratio, the numerator of its
+    derivative.  A minimum of p on a round's box is a root of p' or an end
+    of that box, so every one is seeded in its own round or an earlier one;
+    the real part seeds a double root that rounds to a complex pair.  The
+    search holds a seeded end at once.  A p' that overflows has no roots
+    to seed; the scan's values are not finite then either, and the caller's
+    checks report it.
+    """
+    slope = p._slope_numerator()
+    roots = np.unique(polyroots(slope).real) if np.isfinite(slope).all() else np.zeros(0)
+    rounds = np.searchsorted(radii, np.abs(roots))  # the first box that holds each
+    keep = rounds < radii.size
+    ends = np.stack([-radii, radii], axis=1)
+    downhill = (polyval(ends, slope) * ends < 0.0).reshape(-1)
+    seeds = np.concatenate([np.zeros(radii.size), roots[keep], ends.reshape(-1)[downhill]])
+    k = np.concatenate([np.arange(radii.size), rounds[keep], np.repeat(np.arange(radii.size), 2)[downhill]])
+    order = np.argsort(k, kind="stable")
+    return seeds[order, None], radii[k[order]]
+
+
 def _scan_seeds(p, budget: SearchBudget):
     """Every round's seeds (an (n, d) array) and the half-width of each one's
-    box (n,): per round, the origin, the best coarse-grid points of p (when
-    the budget has a grid) and the random points.  One generator draws the
-    random points of every round in one call, round by round."""
+    box (n,).  In one variable, the critical points of p and the ends of the
+    boxes (``_critical_seeds``), whatever the budget's ``starts``,
+    ``grid_points`` and ``seed``.  Otherwise, per round, the origin, the
+    best coarse-grid points of p (when the budget has a grid) and the
+    random points; one generator draws the random points of every round in
+    one call, round by round."""
     d = p.dim
-    n_starts = budget.starts if budget.starts is not None else 2 * d + 1
     radii = 2.0 ** np.arange(budget.doublings + 1)
+    if d == 1:
+        return _critical_seeds(p, radii)
+    n_starts = budget.starts if budget.starts is not None else 2 * d + 1
     r = radii[:, None, None]
     draws = np.random.default_rng(budget.seed).uniform(-r, r, size=(radii.size, n_starts, d))
     grid = np.array([_grid_candidates(p, radius, budget.grid_points) for radius in radii])
@@ -424,7 +461,12 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
 
     Draws every round's seeds (``_scan_seeds``) and searches them in one
     ``_local_minima`` call, each in its own round's box.  The result is the
-    lowest point found, the first in seed order on ties.
+    lowest point found, the first in seed order on ties.  In one variable
+    the seeds are the critical points of p and the box ends where p falls
+    outward, so the scan finds p's minimum on every box up to the local
+    search's stopping rule, whatever the budget's ``starts``,
+    ``grid_points`` and ``seed``; in more variables it is a multi-start
+    search from random points.
 
     ``attained`` is False when the best point sits at the box fringe, or
     when the last round still improved on the earlier ones with a point

@@ -219,6 +219,15 @@ class _Jet:
         mag = np.einsum("nk,k->n", np.abs(mono), np.abs(rows[0]))
         return out[:, 0], out[:, 1:d + 1], out[:, _hessian_rows(d)], mag
 
+    def _slope_numerator(self) -> np.ndarray:
+        """The ascending coefficients of p' (one variable only), the table's
+        derivative row spread over its exponents; its real roots are p's
+        stationary points, and its sign is the sign of p'."""
+        powers, (exponents,), rows = self._eval_table
+        out = np.zeros(powers.size)
+        out[exponents] = rows[1]
+        return out
+
 
 @dataclass(frozen=True)
 class Polynomial(_Expansion, _Jet):
@@ -421,7 +430,7 @@ def _check_theta(theta: float):
 
 class _ThetaMember(_Jet):
     """One p_theta of a ``_ThetaFamily``, with what the scan kernel reads of a
-    polynomial: ``dim``, ``degree`` and ``_jet``."""
+    polynomial: ``dim``, ``degree``, ``_jet`` and ``_slope_numerator``."""
 
     __slots__ = ("dim", "degree", "_eval_table")
 

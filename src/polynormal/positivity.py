@@ -13,8 +13,11 @@ less than epsilon keeps the polynomial strictly positive.  The infimum
 itself is estimated by the minimum scan's local search (``pnd.
 _local_minima``) run on the ratio, which is smooth because its
 denominator is at least 1, from the seeds a scan of the same budget draws
-(``pnd._scan_seeds``), each in its own round's box.  The lowest ratio
-found is the estimate.  All of this is numerical estimation, not
+(``pnd._scan_seeds``), each in its own round's box.  In one variable those
+are the ratio's critical points, the real parts of the roots of
+Q' (1 + x^{2m}) - 2m x^{2m-1} Q, and the box ends where it falls outward,
+whatever the budget's ``starts``, ``grid_points`` and ``seed``.  The lowest
+ratio found is the estimate.  All of this is numerical estimation, not
 certification; downstream users re-verify positivity directly where it
 matters.
 """
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polymul, polysub
 
 from .errors import ConditionFailed
 from .pnd import SearchBudget, _last_radius, _local_minima, _scan_seeds
@@ -75,7 +79,8 @@ def check_condition_337(p: Polynomial) -> bool:
 
 class _Ratio:
     """R = Q / (1 + sum_j x_j^{2m}), with what the scan kernel reads of a
-    polynomial: ``dim``, ``degree``, ``eval_many`` and ``_jet``.
+    polynomial: ``dim``, ``degree``, ``eval_many``, ``_jet`` and, in one
+    variable, ``_slope_numerator``.
 
     The jet follows from Q's by the quotient rule; its rounding bound is
     Q's divided by the denominator.
@@ -101,6 +106,19 @@ class _Ratio:
         axes = np.arange(self.dim)
         Hr[:, axes, axes] -= r[:, None] * (two_m * (two_m - 1) * pts ** max(two_m - 2, 0))
         return r, gr, Hr / den[:, None, None], mag / den
+
+    def _slope_numerator(self) -> np.ndarray:
+        """The ascending coefficients of Q' (1 + x^{2m}) - 2m x^{2m-1} Q (one
+        variable only), R' times the squared denominator: R's stationary
+        points and the sign of R'.  Its x^{4m-1} terms cancel exactly."""
+        two_m = self.degree
+        den = np.zeros(two_m + 1)
+        den[0] += 1.0
+        den[two_m] += 1.0
+        num = polymul(self.q._slope_numerator(), den)
+        if two_m:
+            num = polysub(num, np.concatenate([np.zeros(two_m - 1), two_m * self.q.terms.dense()]))
+        return num
 
 
 def estimate_inf_b(p: Polynomial, budget: SearchBudget | None = None):

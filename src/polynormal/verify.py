@@ -23,9 +23,10 @@ Three families of checks live here:
 
 * ``biquadratic_factor_probe`` -- the scan's local search, from many starts
   at once, of the least squared coefficient residual of a product of two
-  bivariate quadratics; failure to reach a small residual is evidence (not
-  proof) that a quartic does not split into quadratic factors.  The product
-  is one constant bilinear tensor, so the exact derivatives are contractions.
+  bivariate quadratics, relative to the quartic's largest coefficient;
+  failure to reach a small residual is evidence (not proof) that a quartic
+  does not split into quadratic factors.  The product is one constant
+  bilinear tensor, so the exact derivatives are contractions.
 """
 
 from __future__ import annotations
@@ -290,12 +291,9 @@ _PRODUCT = np.array(
 
 
 # (z1, z2) -> (c z1, z2 / c) leaves the product unchanged, so a factorization
-# can be balanced, and a balanced one of P lies in the search box of half-width
-# this many times scale = sqrt(max |P coefficient|) (or 1).
+# can be balanced, and a balanced one of P / max |P coefficient| lies in the
+# search box of this half-width.
 _BOX_SCALES = 64.0
-# The search's step terms (the box's squared diameter times the Hessian) reach
-# about 20 times the jet's rounding bound there, which times this must be finite.
-_OVERFLOW_MARGIN = 2.0**10
 
 
 @dataclass(frozen=True)
@@ -339,11 +337,13 @@ class ProbeResult:
 def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) -> ProbeResult:
     """Multistart fit of P by a product of two quadratics: the lowest sum of
     squares of the product's coefficients minus P's, over the bivariate
-    exponents of total degree at most 4, and factors that reach it.  The
-    scan's kernel searches all starts at once on that sum (``_SquaredResidual``),
-    each start as if alone.  A small residual means a factorization was found;
-    a stubborn floor across many starts is evidence against one.  A ValueError
-    when P's largest coefficient makes the sum overflow in the search box.
+    exponents of total degree at most 4, relative to the square of P's
+    largest coefficient, and factors whose product is the fit of P.  The
+    scan's kernel searches all starts at once on that sum for P divided by
+    its largest coefficient (``_SquaredResidual``), each start as if alone,
+    so c P gives the residual of P, up to rounding, for every c > 0.  A small
+    residual means a factorization was found; a stubborn floor across many
+    starts is evidence against one.
     """
     if P.dim != 2:
         raise DimensionMismatch(f"polynomial must be bivariate, got dim {P.dim}")
@@ -354,14 +354,9 @@ def biquadratic_factor_probe(P: Polynomial, starts: int = 200, seed: int = 0) ->
     target = np.zeros(len(_QUARTIC_EXPS))
     for alpha, c in P.terms.items():
         target[_QUARTIC_POS[alpha]] = c
-    largest = float(np.abs(target).max())
-    scale = max(1.0, math.sqrt(largest))
-    radius = _BOX_SCALES * scale
-    with np.errstate(over="ignore"):  # m_k is at most its value at the box's corner
-        corner = _PRODUCT.sum(axis=(1, 2)) * radius * radius + np.abs(target)
-        if not math.isfinite(_OVERFLOW_MARGIN * 2.0 * float(corner @ corner)):
-            raise ValueError(f"the largest coefficient, {largest:g}, is too large: the squared residual overflows")
-    z0 = np.random.default_rng(seed).standard_normal((starts, 12)) * scale
-    z, ssq = _local_minima(_SquaredResidual(target), z0, radius)
+    largest = float(np.abs(target).max()) or 1.0
+    z0 = np.random.default_rng(seed).standard_normal((starts, 12))
+    z, ssq = _local_minima(_SquaredResidual(target / largest), z0, _BOX_SCALES)
     best = int(np.argmin(ssq))
-    return ProbeResult(float(ssq[best]), _quadratic_from_vector(z[best, :6]), _quadratic_from_vector(z[best, 6:]))
+    z = z[best] * math.sqrt(largest)
+    return ProbeResult(float(ssq[best]), _quadratic_from_vector(z[:6]), _quadratic_from_vector(z[6:]))

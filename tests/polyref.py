@@ -10,7 +10,9 @@ after another, one batch of local searches per round, as the reference for
 ``pnd.minimize_polynomial``, which searches every round's seeds at once.
 The seeds drawn round by round, one random draw per round, are the
 bit-exact reference for ``pnd._scan_seeds``, which draws every round's
-random points in one call; the theta bisection that polishes from the
+random points in one call; in one variable, the seeds a round picks from
+all the roots of p' and its own box ends are the reference for the seeds
+of every round picked at once.  The theta bisection that polishes from the
 witnesses at every midpoint is the bit-exact reference for
 ``decompose.theta_floor``, which refutes a midpoint without a polish when a
 stored witness is already negative there.
@@ -395,18 +397,47 @@ def local_minima_ref(p: Polynomial, starts, radius):
 
 
 
+def _slope_ref(p: Polynomial) -> np.ndarray:
+    """Ascending coefficients of p' for a polynomial in one variable, from its terms."""
+    out = np.zeros(max(p.degree, 1))
+    for (e,), c in p.terms.items():
+        if e:
+            out[e - 1] = e * c
+    return out
+
+
+def critical_round_seeds_ref(p: Polynomial, k: int) -> list:
+    """Round k's seeds of a scan in one variable: the origin, the distinct real
+    parts of the roots of p' in (2**(k - 1), 2**k] in magnitude ([0, 1] for
+    k = 0), ascending, and the ends of [-2**k, 2**k] where p decreases outward."""
+    radius, inner = 2.0**k, (2.0 ** (k - 1) if k else -1.0)
+    slope = _slope_ref(p)
+    seeds = [0.0]
+    for x in np.unique(np.polynomial.polynomial.polyroots(slope).real):
+        if inner < abs(x) <= radius:
+            seeds.append(x)
+    for end in (-radius, radius):
+        if np.polynomial.polynomial.polyval(end, slope) * end < 0.0:
+            seeds.append(end)
+    return [np.array([x]) for x in seeds]
+
+
 def scan_seeds_ref(p, budget: SearchBudget):
-    """``pnd._scan_seeds`` round by round: the origin, the best grid points
-    and one random draw per round, collected as rows."""
+    """``pnd._scan_seeds`` round by round, collected as rows: in one variable
+    the round's critical seeds, otherwise the origin, the best grid points
+    and one random draw per round."""
     d = p.dim
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
     radii = [2.0**k for k in range(budget.doublings + 1)]
     seeds, sizes = [], []
-    for radius in radii:
-        round_seeds = [np.zeros(d), *_grid_candidates(p, radius, budget.grid_points)]
-        if n_starts > 0:
-            round_seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
+    for k, radius in enumerate(radii):
+        if d == 1:
+            round_seeds = critical_round_seeds_ref(p, k)
+        else:
+            round_seeds = [np.zeros(d), *_grid_candidates(p, radius, budget.grid_points)]
+            if n_starts > 0:
+                round_seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
         seeds.extend(round_seeds)
         sizes.append(len(round_seeds))
     return np.array(seeds), np.repeat(radii, sizes)
@@ -470,10 +501,10 @@ def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:
 
 
 def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> MinimizationResult:
-    """The multi-start scan round by round: each round draws its seeds (the
-    origin, the best grid points, the random points) and searches them in
-    one batch in its own box; a round's best point replaces the best so far
-    when it is lower."""
+    """The multi-start scan round by round: each round draws its seeds (in
+    one variable its critical seeds, otherwise the origin, the best grid
+    points, the random points) and searches them in one batch in its own
+    box; a round's best point replaces the best so far when it is lower."""
     d = p.dim
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
@@ -482,10 +513,13 @@ def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> Minim
     history = [best_val]
     for k in range(budget.doublings + 1):
         radius = 2.0**k
-        seeds = [np.zeros(d)]
-        seeds.extend(_grid_candidates(p, radius, budget.grid_points))
-        if n_starts > 0:
-            seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
+        if d == 1:
+            seeds = critical_round_seeds_ref(p, k)
+        else:
+            seeds = [np.zeros(d)]
+            seeds.extend(_grid_candidates(p, radius, budget.grid_points))
+            if n_starts > 0:
+                seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
         pts, vals = _local_minima(p, np.array(seeds), radius)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
@@ -509,15 +543,17 @@ def product_residual_ref(z, target) -> np.ndarray:
 
 def biquadratic_factor_probe_ref(P: Polynomial, starts: int = 200, seed: int = 0) -> ProbeResult:
     """The probe with the looped residual and a finite-difference Jacobian:
-    the same start draws, solver settings and choice of the best start."""
+    the same start draws, the same target divided by its largest
+    coefficient, solver settings and choice of the best start."""
     target = np.zeros(len(_QUARTIC_EXPS))
     for alpha, c in P.terms.items():
         target[_QUARTIC_POS[alpha]] = c
+    largest = float(np.abs(target).max()) or 1.0
+    target = target / largest
     rng = np.random.default_rng(seed)
-    scale = max(1.0, math.sqrt(float(np.abs(target).max())))
     best_ssq, best_z = math.inf, None
     for _ in range(starts):
-        z0 = rng.standard_normal(12) * scale
+        z0 = rng.standard_normal(12)
         res = least_squares(
             product_residual_ref, z0, args=(target,),
             method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
@@ -525,6 +561,7 @@ def biquadratic_factor_probe_ref(P: Polynomial, starts: int = 200, seed: int = 0
         ssq = float(np.sum(res.fun**2))
         if ssq < best_ssq:
             best_ssq, best_z = ssq, res.x
+    best_z = best_z * math.sqrt(largest)
     return ProbeResult(best_ssq, _quadratic_from_vector(best_z[:6]), _quadratic_from_vector(best_z[6:]))
 
 

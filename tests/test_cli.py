@@ -317,12 +317,21 @@ def test_probe_without_starts_exits_2(workdir, capsys, starts):
     assert "starts must be at least 1" in capsys.readouterr().err
 
 
-def test_probe_of_a_coefficient_too_large_exits_2(workdir, capsys):
-    # Every start's squared residual would overflow to inf in the search box.
-    P = Polynomial.from_terms(2, {(4, 0): 1e200, (0, 4): 1.0, (0, 0): 1.0})
-    path = _write(workdir / "P.json", polynomial_to_dict(P))
-    assert main(["probe", "--poly", path]) == 2
-    assert "the largest coefficient, 1e+200, is too large" in capsys.readouterr().err
+def test_probe_of_a_coefficient_of_1e200_reads_as_its_copy_at_scale_1(workdir, capsys):
+    # The probe searches the quartic divided by its largest coefficient, so
+    # no coefficient makes the squared residual overflow in the search box.
+    P = Polynomial.from_terms(2, {(2, 2): 1.0, (1, 1): 2.0, (0, 2): -2.0, (2, 0): -1.0, (0, 0): 3.0})
+    reports = []
+    for c in (1.0, 1e200):
+        path = _write(workdir / "P.json", polynomial_to_dict(P * c))
+        assert main(["probe", "--poly", path, "--starts", "20"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[1]["residual"] == pytest.approx(reports[0]["residual"], rel=1e-9)
+    assert reports[1]["residual"] > 1e-3
+    factors = [Polynomial.from_terms(2, {tuple(t["alpha"]): t["coef"] for t in reports[1][k]["terms"]}) for k in ("factor1", "factor2")]
+    # The fit is off by the relative residual times the largest coefficient, 3e200.
+    gap = (factors[0] * factors[1]).max_abs_coeff_diff(P * 1e200)
+    assert gap <= math.sqrt(reports[1]["residual"]) * 3e200 * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-6"])
@@ -471,6 +480,49 @@ def test_outputs_are_deterministic(workdir, example4_json):
     assert main(["--out", str(out1), "charfn", "--input", example4_json]) == 0
     assert main(["--out", str(out2), "charfn", "--input", example4_json]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# A positive quartic density in one variable.
+_ONE_VARIABLE_DENSITY = {
+    "poly": {"dim": 1, "terms": [
+        {"alpha": [0], "coef": 1.3869414846024788}, {"alpha": [1], "coef": 0.44588303596516804},
+        {"alpha": [2], "coef": 0.6545994968363069}, {"alpha": [3], "coef": 0.5756178925158942},
+        {"alpha": [4], "coef": 1.548426504558016}]},
+    "A": [[1.1859365156911916]], "b": [0.946866022810084],
+}
+
+
+def test_one_variable_outputs_do_not_depend_on_the_search_budget(workdir, monkeypatch):
+    # A scan in one variable seeds at the critical points of p, so the seed,
+    # the random starts and the grid change no byte of decompose or diagnose.
+    path = _write(workdir / "one.json", _ONE_VARIABLE_DENSITY)
+
+    def outputs(tag, *argv):
+        files = []
+        for command in ("decompose", "diagnose"):
+            out = workdir / f"{tag}-{command}.json"
+            assert main([*argv, "--out", str(out), command, "--input", path]) == 0
+            files.append(out.read_bytes())
+        return files
+
+    base = outputs("base")
+    for seed in (0, 7, 123):
+        assert outputs(f"seed{seed}", "--seed", str(seed)) == base, seed
+    for starts, grid_points in itertools.product((0, 5), (0, 7)):
+        budget = SearchBudget(starts=starts, grid_points=grid_points, seed=3)
+        monkeypatch.setattr(polynormal.cli.RunConfig, "budget", lambda self, budget=budget: budget)
+        assert outputs(f"starts{starts}-grid{grid_points}") == base, budget
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose", "diagnose"])
+def test_a_one_variable_density_whose_slope_overflows_exits_2(workdir, capsys, command):
+    # p' overflows, so the scan has no critical points to seed; the density's
+    # own check reports the overflow.
+    terms = [{"alpha": [4], "coef": 1e308}, {"alpha": [2], "coef": -1e308}, {"alpha": [0], "coef": 1e308}]
+    path = _write(workdir / "big.json", {"poly": {"dim": 1, "terms": terms}, "A": [[1.0]], "b": [0.0]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--input", path]) == 2
+    assert "coefficient is not finite" in capsys.readouterr().err
 
 
 def _scipy_modules_loaded_by(*statements):

@@ -20,6 +20,7 @@ L-BFGS-B search per start, which also restarts each round from the best
 point so far (``polyref``), on the regression inputs of the theta search.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -358,6 +359,101 @@ def test_scan_seeds_equal_the_seeds_drawn_round_by_round(d, grid_points):
                 ref_seeds, ref_radii = scan_seeds_ref(p, budget)
                 assert seeds.shape == ref_seeds.shape and seeds.tobytes() == ref_seeds.tobytes(), budget
                 assert radii.dtype == ref_radii.dtype and radii.tobytes() == ref_radii.tobytes(), budget
+
+
+@st.composite
+def one_variable_cases(draw):
+    """(p, kind): a polynomial in one variable of degree 1..8 with random
+    coefficients, or one of the shapes a scan in one variable must not miss:
+    a quartic floor (x - a)^4 + c, whose stationary point is a triple root
+    of p'; a double well ((x - a)^2 - b)^2, double where b is 0 or tiny; a
+    tilted well near x = 40, which only the last box (half-width 64) holds;
+    and a polynomial that falls away, of odd degree or with a negative
+    leading coefficient that outweighs the others."""
+    kind = draw(st.sampled_from(["random", "quartic floor", "double well", "far well", "falls away"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = Polynomial.variable(1, 0)
+    if kind == "random":
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        coeffs = rng.uniform(-scale, scale, size=draw(st.integers(1, 8)) + 1)
+    elif kind == "quartic floor":
+        return (x - rng.uniform(-60.0, 60.0)) ** 4 + rng.uniform(-1.0, 1.0), kind
+    elif kind == "double well":
+        b = draw(st.sampled_from([0.0, 1e-12, 1e-6, float(rng.uniform(0.0, 4.0))]))
+        return ((x - rng.uniform(-40.0, 40.0)) ** 2 - b) ** 2, kind
+    elif kind == "far well":
+        well = (x - rng.uniform(-2.0, 2.0)) * (x - rng.uniform(36.0, 44.0))
+        return well * well + rng.uniform(-1.0, -0.01) * x, kind
+    else:
+        degree = draw(st.integers(1, 8))
+        coeffs = rng.uniform(-1.0, 1.0, size=degree + 1)
+        sign = -1.0 if degree % 2 == 0 else rng.choice([-1.0, 1.0])
+        coeffs[-1] = sign * rng.uniform(0.5, 1.0)
+    return Polynomial.from_terms(1, {(k,): c for k, c in enumerate(coeffs)}), kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_variable_cases())
+def test_a_one_variable_scan_finds_the_minimum_of_its_last_box(case):
+    # p's minimum on a box is a root of p' or an end of the box, and the
+    # scan seeds every one; a dense grid of the last box can only read higher.
+    p, kind = case
+    budget = SearchBudget()
+    last = 2.0**budget.doublings
+    res = minimize_polynomial(p, budget)
+    grid = np.linspace(-last, last, 2**16 + 1)[:, None]
+    values = p.eval_many(grid)
+    lowest = int(np.argmin(values))
+    rounding = 32.0 * np.finfo(float).eps * p._jet(grid[lowest:lowest + 1])[3][0]
+    assert abs(res.point[0]) <= last
+    assert res.value <= values[lowest] + rounding, (kind, res, grid[lowest], values[lowest])
+    if kind == "falls away":
+        assert not res.attained
+
+
+def test_a_one_variable_scan_seeds_each_root_of_the_slope_once_in_its_first_box():
+    # p' = 4 (x - 3)(x - 40)(x + 0.5): p has minima at -0.5 (round 0) and
+    # 40 (round 6), the lower, and a maximum at 3 (round 2).  p falls
+    # outward only at the right ends +4 .. +32, on its way down to 40.
+    x = Polynomial.variable(1, 0)
+    slope = (x - 3.0) * (x - 40.0) * (x + 0.5)
+    p = Polynomial.from_terms(1, {(k + 1,): 4.0 * slope.coefficient((k,)) / (k + 1) for k in range(4)})
+    seeds, radii = _scan_seeds(p, SearchBudget())
+    expected = [
+        (0.0, 1.0), (-0.5, 1.0),
+        (0.0, 2.0),
+        (0.0, 4.0), (3.0, 4.0), (4.0, 4.0),
+        (0.0, 8.0), (8.0, 8.0),
+        (0.0, 16.0), (16.0, 16.0),
+        (0.0, 32.0), (32.0, 32.0),
+        (0.0, 64.0), (40.0, 64.0),
+    ]
+    assert radii.tolist() == [r for _, r in expected]
+    assert seeds[:, 0] == pytest.approx([s for s, _ in expected], abs=1e-12)
+    res = minimize_polynomial(p, SearchBudget())
+    assert res.point[0] == pytest.approx(40.0) and not res.attained  # only the last round holds it
+
+
+def test_a_one_variable_scan_ignores_the_seed_starts_and_grid():
+    rng = np.random.default_rng(7)
+    cases = [
+        Polynomial.from_terms(1, {(4,): 1.0, (2,): -2.0, (0,): 0.5}),
+        Polynomial.from_terms(1, {(3,): 1.0, (1,): -3.0}),
+        random_signed_poly(rng, 1, 6),
+        random_signed_poly(rng, 1, 8),
+    ]
+    for p in cases:
+        for doublings in (0, 3, 6):
+            seeds, radii = _scan_seeds(p, SearchBudget(doublings=doublings))
+            base = minimize_polynomial(p, SearchBudget(doublings=doublings))
+            for seed, starts, grid_points in itertools.product((0, 7, 123), (None, 0, 5), (0, 2, 7)):
+                budget = SearchBudget(doublings=doublings, starts=starts, grid_points=grid_points, seed=seed)
+                other_seeds, other_radii = _scan_seeds(p, budget)
+                assert other_seeds.tobytes() == seeds.tobytes() and other_radii.tobytes() == radii.tobytes()
+                res = minimize_polynomial(p, budget)
+                assert res.point.tobytes() == base.point.tobytes(), budget
+                assert np.float64(res.value).tobytes() == np.float64(base.value).tobytes(), budget
+                assert res.attained == base.attained, budget
 
 
 @pytest.mark.parametrize("power", [1, 2])

@@ -7,6 +7,7 @@ import pytest
 
 from polynormal import positivity
 from polynormal.errors import ConditionFailed
+from polynormal.pnd import SearchBudget
 from polynormal.polyalg import Polynomial, affine_substitute
 from polynormal.positivity import (
     _Ratio,
@@ -317,3 +318,27 @@ def test_ratio_jet_is_the_quotient_of_the_reference_derivatives(dim, degree):
         assert np.allclose(g[i], ref_g, rtol=1e-10, atol=1e-12 * scale)
         assert np.allclose(H[i], ref_H, rtol=1e-10, atol=1e-12 * scale)
         assert mag[i] == pytest.approx(q_mag[i] / D, rel=1e-14)
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4, 8])
+def test_ratio_slope_numerator_is_the_derivative_times_the_squared_denominator(degree):
+    # R' (1 + x^{2m})^2 at random points, from the reference derivatives:
+    # the numerator's roots are R's stationary points and its sign is R''s.
+    rng = np.random.default_rng(40 + degree)
+    q = random_signed_poly(rng, 1, degree)
+    num = _Ratio(q)._slope_numerator()
+    assert len(num) <= max(2 * degree - 1, 1)  # the x^{4m-1} terms cancel
+    for x in rng.uniform(-2.0, 2.0, size=(6, 1)):
+        D = 1.0 + x[0] ** degree
+        expected = grad_eval_ref(q, x)[0] * D - eval_ref(q, x) * degree * x[0] ** max(degree - 1, 0)
+        scale = float(np.sum(np.abs(num))) * 2.0 ** len(num)
+        assert np.polynomial.polynomial.polyval(x[0], num) == pytest.approx(expected, abs=1e-13 * scale)
+
+
+@pytest.mark.parametrize("index", [i for i, p in enumerate(FAMILIES) if p.dim == 1])
+def test_a_one_variable_infimum_search_ignores_the_seed_starts_and_grid(index):
+    p = FAMILIES[index]
+    base = estimate_inf_b(p)
+    for seed, starts, grid_points in itertools.product((0, 7, 123), (None, 0, 5), (0, 2, 7)):
+        budget = SearchBudget(starts=starts, grid_points=grid_points, seed=seed)
+        assert _bytes(*estimate_inf_b(p, budget)) == _bytes(*base), budget

@@ -234,6 +234,29 @@ def test_probe_random_factorable_products():
         assert result.residual <= 1e-8
 
 
+_CF_QUARTIC = {(2, 2): 1.0, (1, 1): 2.0, (0, 2): -2.0, (2, 0): -1.0, (0, 0): 3.0}
+# (x1^2 + x1 x2 - x2 + 2)(2 x2^2 - x1 + 1), expanded.
+_QUADRATIC_PRODUCT = {
+    (0, 0): 2.0, (0, 1): -1.0, (1, 0): -2.0, (0, 2): 4.0, (1, 1): 2.0, (2, 0): 1.0,
+    (0, 3): -2.0, (2, 1): -1.0, (3, 0): -1.0, (1, 3): 2.0, (2, 2): 2.0,
+}
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6])
+def test_probe_puts_a_scaled_copy_in_the_class_of_the_original(c):
+    # The residual is relative to the largest coefficient.  An absolute one
+    # read 1.18e-25 for 1e-12 times the quartic, the class of a factorization.
+    quartic = _poly2(_CF_QUARTIC)
+    floor = biquadratic_factor_probe(quartic, starts=60).residual
+    scaled = biquadratic_factor_probe(quartic * c, starts=60)
+    assert scaled.residual > 1e-3
+    assert scaled.residual == pytest.approx(floor, rel=1e-6)
+    product = _poly2(_QUADRATIC_PRODUCT) * c
+    split = biquadratic_factor_probe(product, starts=20)
+    assert split.residual <= 1e-20
+    assert (split.factor1 * split.factor2).max_abs_coeff_diff(product) <= 1e-8 * 4.0 * c
+
+
 def _random_factors(rng):
     z = rng.standard_normal(12) * 10.0 ** rng.uniform(-3.0, 3.0)
     return z, rng.standard_normal(15) * 10.0 ** rng.uniform(-3.0, 3.0)
