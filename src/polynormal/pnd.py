@@ -10,11 +10,12 @@ normalized, with its Hermite coefficients; ``integral_quadrature``
 recomputes p(L u + b) as an independent cross-check of the normalization.
 
 Nonnegativity is checked by a multi-start minimum scan over growing boxes
-(``minimize_polynomial``): one batch of projected Newton searches on the
-exact values, gradients and Hessians of the polynomial, which holds the
-seeds of every round, each start in its own round's box.  In one variable
-the seeds are the critical points of p and the box ends where p falls
-outward, which hold every minimum on the boxes; in more, random points.
+(``minimize_polynomial`` through ``_scan``, the one global scan of every
+search): one batch of projected Newton searches on the exact values,
+gradients and Hessians of the polynomial, which holds the seeds of every
+round, each start in its own round's box.  In one variable the seeds are
+the critical points of p and the box ends where p falls outward, which
+hold every minimum on the boxes; in more, random points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -148,33 +149,30 @@ class SearchBudget:
     Round k (k = 0..doublings) searches the box [-2**k, 2**k]^d from the
     origin and ``starts`` uniform random points (default 2*dim + 1) with
     box-constrained Newton searches; the seeds of all rounds are searched
-    in one batch.  The coarse grid is opt-in and off by default: with
-    ``grid_points`` >= 2 each round of a scan in d = 2 or 3 also
-    starts from the 3 best points of a grid of ``grid_points`` per axis,
-    which can decide a minimum at small ``doublings`` and ``starts``.
-    Deterministic for a fixed seed.  A scan in one variable seeds each
-    round at the critical points of p and the box ends where p falls
-    outward instead (``pnd._critical_seeds``), and ignores ``starts``,
-    ``grid_points`` and ``seed``.  A malformed field is a ValueError naming
-    it (a grid of 1 point per axis too); so is, at scan time, a
-    ``doublings`` whose last box is too wide for the polynomial's degree and
-    dimension (see ``_last_radius``).
+    in one batch.  Deterministic for a fixed seed.  A scan in one variable
+    seeds each round at the critical points of p and the box ends where p
+    falls outward instead (``pnd._critical_seeds``), and ignores ``starts``
+    and ``seed``.  ``grid_points`` is init-only and must be 0, for callers
+    that still pass it; nothing reads it.  A malformed field is a
+    ValueError naming it; so is, at scan time, a ``doublings`` whose last
+    box is too wide for the polynomial's degree and dimension (see
+    ``_last_radius``).
     """
 
     doublings: int = 6
     starts: int | None = None
-    grid_points: int = 0
+    grid_points: InitVar[int] = 0
     seed: int = 0
 
-    def __post_init__(self):
-        for name in ("doublings", "starts", "grid_points", "seed"):
+    def __post_init__(self, grid_points):
+        for name in ("doublings", "starts", "seed"):
             value = getattr(self, name)
             if value is None and name == "starts":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ValueError(f"SearchBudget.{name} must be a whole number >= 0, got {value!r}")
-        if self.grid_points == 1:
-            raise ValueError("SearchBudget.grid_points must be 0 (no grid) or at least 2, got 1")
+        if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral) or grid_points != 0:
+            raise ValueError(f"SearchBudget.grid_points must be 0, got {grid_points!r}")
 
 
 @dataclass(frozen=True)
@@ -182,16 +180,6 @@ class MinimizationResult:
     point: np.ndarray
     value: float
     attained: bool
-
-
-def _grid_candidates(p: Polynomial, radius: float, per_axis: int, keep: int = 3) -> np.ndarray:
-    """The ``keep`` lowest points of p (a (k, d) array, best first) on the grid
-    of ``per_axis`` points per axis over [-radius, radius]^d; none when the
-    grid is off (``per_axis`` 0) or d > 3."""
-    if p.dim > 3 or per_axis < 2:
-        return np.empty((0, p.dim))
-    pts = tensor_grid([np.linspace(-radius, radius, per_axis)] * p.dim)
-    return pts[np.argsort(p.eval_many(pts))[:keep]]
 
 
 # Local searches: projected-gradient tolerance, iteration cap, Armijo
@@ -439,11 +427,10 @@ def _critical_seeds(p, radii: np.ndarray):
 def _scan_seeds(p, budget: SearchBudget):
     """Every round's seeds (an (n, d) array) and the half-width of each one's
     box (n,).  In one variable, the critical points of p and the ends of the
-    boxes (``_critical_seeds``), whatever the budget's ``starts``,
-    ``grid_points`` and ``seed``.  Otherwise, per round, the origin, the
-    best coarse-grid points of p (when the budget has a grid) and the
-    random points; one generator draws the random points of every round in
-    one call, round by round."""
+    boxes (``_critical_seeds``), whatever the budget's ``starts`` and
+    ``seed``.  Otherwise, per round, the origin and the random points; one
+    generator draws the random points of every round in one call, round by
+    round."""
     d = p.dim
     radii = 2.0 ** np.arange(budget.doublings + 1)
     if d == 1:
@@ -451,22 +438,37 @@ def _scan_seeds(p, budget: SearchBudget):
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
     r = radii[:, None, None]
     draws = np.random.default_rng(budget.seed).uniform(-r, r, size=(radii.size, n_starts, d))
-    grid = np.array([_grid_candidates(p, radius, budget.grid_points) for radius in radii])
-    seeds = np.concatenate([np.zeros((radii.size, 1, d)), grid, draws], axis=1)
+    seeds = np.concatenate([np.zeros((radii.size, 1, d)), draws], axis=1)
     return seeds.reshape(-1, d), np.repeat(radii, seeds.shape[1])
 
 
-def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:
-    """Best-effort global minimum of p; a witness, not a certificate.
+def _scan(p, budget: SearchBudget):
+    """The global scan of every search: local minima (points (n, d), values
+    (n,)) from every round's seeds (``_scan_seeds``), searched in one
+    ``_local_minima`` call, and each seed's box half-width (n,), ascending.
 
-    Draws every round's seeds (``_scan_seeds``) and searches them in one
-    ``_local_minima`` call, each in its own round's box.  The result is the
-    lowest point found, the first in seed order on ties.  In one variable
-    the seeds are the critical points of p and the box ends where p falls
-    outward, so the scan finds p's minimum on every box up to the local
-    search's stopping rule, whatever the budget's ``starts``,
-    ``grid_points`` and ``seed``; in more variables it is a multi-start
-    search from random points.
+    p is a scan target: a ``Polynomial``, or any object with what the scan
+    reads of one -- ``dim``, ``degree``, ``_jet`` and, in one variable,
+    ``_slope_numerator`` (``positivity._Ratio``, ``polyalg._ThetaMember``).
+    A ValueError when the budget's last box is too wide for p
+    (``_last_radius``).
+    """
+    _last_radius(p, budget)
+    seeds, radii = _scan_seeds(p, budget)
+    points, values = _local_minima(p, seeds, radii)
+    return points, values, radii
+
+
+def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> MinimizationResult:
+    """Best-effort global minimum of a scan target p (``_scan``); a witness,
+    not a certificate.
+
+    The result is the lowest point of the scan, the first in seed order on
+    ties.  In one variable the seeds are the critical points of p and the
+    box ends where p falls outward, so the scan finds p's minimum on every
+    box up to the local search's stopping rule, whatever the budget's
+    ``starts`` and ``seed``; in more variables it is a multi-start search
+    from random points.
 
     ``attained`` is False when the best point sits at the box fringe, or
     when the last round still improved on the earlier ones with a point
@@ -476,14 +478,13 @@ def minimize_polynomial(p: Polynomial, budget: SearchBudget | None = None) -> Mi
     late a seed fell into its well.
     """
     budget = budget or SearchBudget()
-    d = p.dim
-    last = _last_radius(p, budget)
-    seeds, radii = _scan_seeds(p, budget)
-    pts, vals = _local_minima(p, seeds, radii)
+    pts, vals, radii = _scan(p, budget)
+    last = float(radii[-1])
     # The first seed is the origin, and its search ends there or below p(0).
     i = int(np.argmin(vals))
     best_pt, best_val = pts[i], float(vals[i])
-    prev = float(vals[radii < last].min(initial=p.eval(np.zeros(d))))  # the best before the last round
+    at_origin = float(p._jet(np.zeros((1, p.dim)))[0][0])
+    prev = float(vals[radii < last].min(initial=at_origin))  # the best before the last round
     still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
     reach = float(np.max(np.abs(best_pt)))
     held_before = budget.doublings > 0 and reach <= 0.9 * (0.5 * last)  # the earlier boxes' interior

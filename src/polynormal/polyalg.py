@@ -429,8 +429,7 @@ def _check_theta(theta: float):
 
 
 class _ThetaMember(_Jet):
-    """One p_theta of a ``_ThetaFamily``, with what the scan kernel reads of a
-    polynomial: ``dim``, ``degree``, ``_jet`` and ``_slope_numerator``."""
+    """One p_theta of a ``_ThetaFamily``, as a scan target (``pnd._scan``)."""
 
     __slots__ = ("dim", "degree", "_eval_table")
 

@@ -10,16 +10,15 @@ When it holds, a computable chain of norm inequalities turns the infimum
 into a lower bound for inf_x Q(x) / (1 + sum_{|a|<=2m} |x^a|), and 90% of
 that bound is a perturbation radius: moving every coefficient of Q by
 less than epsilon keeps the polynomial strictly positive.  The infimum
-itself is estimated by the minimum scan's local search (``pnd.
-_local_minima``) run on the ratio, which is smooth because its
-denominator is at least 1, from the seeds a scan of the same budget draws
-(``pnd._scan_seeds``), each in its own round's box.  In one variable those
-are the ratio's critical points, the real parts of the roots of
-Q' (1 + x^{2m}) - 2m x^{2m-1} Q, and the box ends where it falls outward,
-whatever the budget's ``starts``, ``grid_points`` and ``seed``.  The lowest
-ratio found is the estimate.  All of this is numerical estimation, not
-certification; downstream users re-verify positivity directly where it
-matters.
+itself is estimated by the global minimum scan (``pnd._scan``) run on
+the ratio, which is smooth because its denominator is at least 1: the
+local searches from every seed a scan of the same budget draws, each in
+its own round's box.  In one variable those are the ratio's critical
+points, the real parts of the roots of Q' (1 + x^{2m}) - 2m x^{2m-1} Q,
+and the box ends where it falls outward, whatever the budget's ``starts``
+and ``seed``.  The lowest ratio found is the estimate.  All of this is
+numerical estimation, not certification; downstream users re-verify
+positivity directly where it matters.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polymul, polysub
 
 from .errors import ConditionFailed
-from .pnd import SearchBudget, _last_radius, _local_minima, _scan_seeds
+from .pnd import SearchBudget, _scan
 from .polyalg import Polynomial
 
 # Leading coefficients at or below this are treated as zero.
@@ -78,9 +77,7 @@ def check_condition_337(p: Polynomial) -> bool:
 
 
 class _Ratio:
-    """R = Q / (1 + sum_j x_j^{2m}), with what the scan kernel reads of a
-    polynomial: ``dim``, ``degree``, ``eval_many``, ``_jet`` and, in one
-    variable, ``_slope_numerator``.
+    """R = Q / (1 + sum_j x_j^{2m}) as a scan target (``pnd._scan``).
 
     The jet follows from Q's by the quotient rule; its rounding bound is
     Q's divided by the denominator.
@@ -88,9 +85,6 @@ class _Ratio:
 
     def __init__(self, q: Polynomial):
         self.q, self.dim, self.degree = q, q.dim, q.degree
-
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.q.eval_many(pts) / (1.0 + np.sum(pts**self.degree, axis=1))
 
     def _jet(self, pts: np.ndarray):
         f, g, H, mag = self.q._jet(pts)
@@ -125,8 +119,8 @@ def estimate_inf_b(p: Polynomial, budget: SearchBudget | None = None):
     """Estimate of inf Q / (1 + sum_j x_j^{2m}) and the half-width of the
     widest box searched, 2**doublings of the budget.
 
-    The lowest of the local minima of the ratio (``_Ratio``) from every
-    seed of the budget's scan rounds; a witness, not a certificate.
+    The lowest of the local minima of the ratio (``_Ratio``) that the
+    budget's global scan finds; a witness, not a certificate.
     Requires the axis condition; the caller is responsible for having
     checked positivity of Q (for example with a minimum scan).
     """
@@ -134,10 +128,8 @@ def estimate_inf_b(p: Polynomial, budget: SearchBudget | None = None):
     if not np.all(coeffs > LEADING_COEFF_TOL):
         raise ConditionFailed(f"axis-leading coefficients {coeffs} are not all positive")
     budget = budget or SearchBudget()
-    ratio = _Ratio(p)
-    radius = _last_radius(ratio, budget)
-    _, values = _local_minima(ratio, *_scan_seeds(ratio, budget))
-    return float(values.min()), radius
+    _, values, radii = _scan(_Ratio(p), budget)
+    return float(values.min()), float(radii[-1])
 
 
 def epsilon_bound(p: Polynomial, budget: SearchBudget | None = None) -> PositivityReport:

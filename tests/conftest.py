@@ -16,7 +16,7 @@ from polynormal.verify import validate_example4_params
 
 # Small budget for tests that construct many densities whose positivity is
 # guaranteed by construction.
-FAST_BUDGET = SearchBudget(doublings=3, starts=3, grid_points=5)
+FAST_BUDGET = SearchBudget(doublings=3, starts=3)
 
 
 def example4_poly() -> Polynomial:

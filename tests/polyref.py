@@ -59,7 +59,6 @@ from polynormal.pnd import (
     _TINY,
     MinimizationResult,
     SearchBudget,
-    _grid_candidates,
     _local_minima,
     gauss_hermite_nodes,
     minimize_polynomial,
@@ -424,8 +423,8 @@ def critical_round_seeds_ref(p: Polynomial, k: int) -> list:
 
 def scan_seeds_ref(p, budget: SearchBudget):
     """``pnd._scan_seeds`` round by round, collected as rows: in one variable
-    the round's critical seeds, otherwise the origin, the best grid points
-    and one random draw per round."""
+    the round's critical seeds, otherwise the origin and one random draw
+    per round."""
     d = p.dim
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
@@ -435,7 +434,7 @@ def scan_seeds_ref(p, budget: SearchBudget):
         if d == 1:
             round_seeds = critical_round_seeds_ref(p, k)
         else:
-            round_seeds = [np.zeros(d), *_grid_candidates(p, radius, budget.grid_points)]
+            round_seeds = [np.zeros(d)]
             if n_starts > 0:
                 round_seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
         seeds.extend(round_seeds)
@@ -490,7 +489,7 @@ def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:
     best_pt, best_val = np.zeros(d), p.eval(np.zeros(d))
     for k in range(budget.doublings + 1):
         radius = 2.0**k
-        seeds = [np.zeros(d), best_pt] + list(_grid_candidates(p, radius, budget.grid_points))
+        seeds = [np.zeros(d), best_pt]
         if n_starts > 0:
             seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
         for s in seeds:
@@ -502,9 +501,12 @@ def minimize_polynomial_ref(p: Polynomial, budget: SearchBudget) -> float:
 
 def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> MinimizationResult:
     """The multi-start scan round by round: each round draws its seeds (in
-    one variable its critical seeds, otherwise the origin, the best grid
-    points, the random points) and searches them in one batch in its own
-    box; a round's best point replaces the best so far when it is lower."""
+    one variable its critical seeds, otherwise the origin and the random
+    points) and searches them in one batch in its own box; a round's best
+    point replaces the best so far when it is lower.  The best point is
+    attained when it lies inside the interior of the box before the last,
+    or when the last round did not improve on the earlier ones and it lies
+    inside the interior of the last box."""
     d = p.dim
     rng = np.random.default_rng(budget.seed)
     n_starts = budget.starts if budget.starts is not None else 2 * d + 1
@@ -517,7 +519,6 @@ def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> Minim
             seeds = critical_round_seeds_ref(p, k)
         else:
             seeds = [np.zeros(d)]
-            seeds.extend(_grid_candidates(p, radius, budget.grid_points))
             if n_starts > 0:
                 seeds.extend(rng.uniform(-radius, radius, size=(n_starts, d)))
         pts, vals = _local_minima(p, np.array(seeds), radius)
@@ -527,8 +528,10 @@ def minimize_polynomial_rounds_ref(p: Polynomial, budget: SearchBudget) -> Minim
         history.append(best_val)
     prev = history[-2]
     still_improving = (prev - best_val) > 1e-10 * max(1.0, abs(prev))
-    interior = bool(np.max(np.abs(best_pt)) <= 0.9 * radius)
-    return MinimizationResult(best_pt, best_val, attained=(not still_improving) and interior)
+    reach = np.max(np.abs(best_pt))
+    held_before = budget.doublings > 0 and reach <= 0.9 * (0.5 * radius)
+    interior = reach <= 0.9 * radius
+    return MinimizationResult(best_pt, best_val, attained=bool(held_before or (not still_improving and interior)))
 
 
 def product_residual_ref(z, target) -> np.ndarray:

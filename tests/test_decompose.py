@@ -512,7 +512,7 @@ def _random_eligible_poly(rng):
 
 def test_monotone_admissibility_on_random_eligible_polys():
     rng = np.random.default_rng(17)
-    probe = SearchBudget(doublings=3, starts=3, grid_points=7)
+    probe = SearchBudget(doublings=3, starts=3)
     for _ in range(20):
         p = _random_eligible_poly(rng)
         pnd = make_pnd(p, np.eye(2), np.zeros(2), FAST_BUDGET)

@@ -324,6 +324,8 @@ def test_budget_is_deterministic(example4_pnd):
         ("starts", -2),
         ("grid_points", -3),
         ("grid_points", 1),
+        ("grid_points", 5),
+        ("grid_points", 7),
         ("seed", -1),
         ("seed", 1.5),
     ],
