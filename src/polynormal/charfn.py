@@ -167,6 +167,5 @@ def charfn_to_dict(cf: CharFn) -> dict:
 
 
 def charfn_from_dict(data: Mapping) -> CharFn:
-    dim = int(data["dim"])
-    beta = polynomial_from_dict({"dim": dim, "terms": data["beta"]})
+    beta = polynomial_from_dict({"dim": data["dim"], "terms": data["beta"]})
     return make_charfn(beta, np.asarray(data["Sigma"], dtype=float), np.asarray(data["b"], dtype=float))

@@ -1,15 +1,18 @@
 """Command-line pipeline: JSON in, JSON/CSV out.
 
-Exit codes: 0 ok, 1 parse error, 2 invalid density or parameters,
-3 density has a real zero, 4 no Gaussian factor found: the axis condition
-fails, or no theta below 1 passes the gate scan (``decompose`` writes the
-reason as ``{"error": ...}``).  Identical inputs and configuration produce
+Exit codes: 0 ok, 1 parse error (an input file that cannot be read, is
+not UTF-8 JSON or has the wrong shape), 2 invalid density or parameters,
+or an output path that cannot be written, 3 density has a real zero, 4 no
+Gaussian factor found: the axis condition fails, or no theta below 1
+passes the gate scan (``decompose`` writes the reason as
+``{"error": ...}``).  Identical inputs and configuration produce
 byte-identical JSON outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -97,18 +100,35 @@ class _ParseFailure(Exception):
     pass
 
 
-def _load_json(path):
+def _read(path, parse, what: str):
+    """``parse`` of the JSON document at ``path``.  A file that cannot be
+    opened or decoded (a ``UnicodeDecodeError`` is a ``ValueError``), and a
+    document of the wrong shape, are parse errors; ``parse``'s own
+    ``ValueError`` is an invalid input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError) as exc:
+        raise _ParseFailure(f"bad {what} schema in {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """An output path that cannot be written is an invalid parameter."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(obj, cfg: RunConfig):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with _writing(cfg.out), open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -120,11 +140,7 @@ def _note(cfg: RunConfig, message: str):
 
 
 def _load_pnd(path, cfg: RunConfig):
-    data = _load_json(path)
-    try:
-        return pnd_from_dict(data, cfg.budget())
-    except (KeyError, TypeError) as exc:
-        raise _ParseFailure(f"bad density schema in {path}: {exc}") from exc
+    return _read(path, lambda data: pnd_from_dict(data, cfg.budget()), "density")
 
 
 def _cmd_validate(args, cfg: RunConfig) -> int:
@@ -157,11 +173,7 @@ def _cmd_charfn(args, cfg: RunConfig) -> int:
 
 
 def _cmd_invcharfn(args, cfg: RunConfig) -> int:
-    data = _load_json(args.input)
-    try:
-        cf = charfn_from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise _ParseFailure(f"bad characteristic-function schema: {exc}") from exc
+    cf = _read(args.input, charfn_from_dict, "characteristic-function")
     pnd = inverse_cf(cf, cfg.budget())
     _emit(pnd_to_dict(pnd), cfg)
     return EXIT_OK
@@ -209,16 +221,15 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
 
 
 def _load_factor(path, cfg: RunConfig):
-    data = _load_json(path)
-    if "mean" in data and "cov" in data:
-        return GaussianFactor(
-            mean=np.asarray(data["mean"], dtype=float),
-            cov=np.asarray(data["cov"], dtype=float),
-        )
-    try:
+    def parse(data):
+        if "mean" in data and "cov" in data:
+            return GaussianFactor(
+                mean=np.asarray(data["mean"], dtype=float),
+                cov=np.asarray(data["cov"], dtype=float),
+            )
         return pnd_from_dict(data, cfg.budget())
-    except (KeyError, TypeError) as exc:
-        raise _ParseFailure(f"bad factor schema in {path}: {exc}") from exc
+
+    return _read(path, parse, "factor")
 
 
 def _cmd_verify_conv(args, cfg: RunConfig) -> int:
@@ -256,7 +267,9 @@ def _cmd_example4(args, cfg: RunConfig) -> int:
     if args.csv:
         value_fn, _, _ = example4_signed_density(params)
         pts = example4_witness_slice(params, args.n_max)
-        write_density_csv(args.csv, pts, np.array([value_fn(p) for p in pts]))
+        values = np.array([value_fn(p) for p in pts])
+        with _writing(args.csv):
+            write_density_csv(args.csv, pts, values)
         out["csv"] = args.csv
     _note(cfg, f"negative witness at n = {witness.n}: value {witness.value:.3e}")
     _emit(out, cfg)
@@ -264,11 +277,7 @@ def _cmd_example4(args, cfg: RunConfig) -> int:
 
 
 def _cmd_probe(args, cfg: RunConfig) -> int:
-    data = _load_json(args.poly)
-    try:
-        poly = polynomial_from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise _ParseFailure(f"bad polynomial schema: {exc}") from exc
+    poly = _read(args.poly, polynomial_from_dict, "polynomial")
     result = biquadratic_factor_probe(poly, starts=args.starts, seed=cfg.seed)
     _emit(
         {

@@ -576,6 +576,9 @@ def polynomial_to_dict(p: Polynomial) -> dict:
 
 
 def polynomial_from_dict(data: Mapping) -> Polynomial:
-    dim = int(data["dim"])
+    dim = data["dim"]
+    # Whole as an exponent must be: 2 and 2.0, not 1.5; an int past float range is whole.
+    if not (isinstance(dim, int) or float(dim).is_integer()):
+        raise ValueError(f"dimension {dim!r} is not whole")
     terms = [(tuple(t["alpha"]), float(t["coef"])) for t in data["terms"]]
-    return Polynomial.from_terms(dim, terms)
+    return Polynomial.from_terms(int(dim), terms)

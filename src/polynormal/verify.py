@@ -13,13 +13,14 @@ Three families of checks live here:
   family built from the density (1/(6 pi)) [(x1 x2 - 1)^2 + x2^2]
   exp(-|x|^2/2).  Splitting any Gaussian exponent part out of its
   characteristic function leaves a candidate whose inverse transform goes
-  negative; the scan along a designated curve exhibits the negative value,
-  and the closed-form coefficient of the quadratic growth term (negative
-  for every admissible parameter triple) explains why a witness always
-  exists.  The candidate's polynomial is recomputed through the general
-  inverse transform rather than transcribed, and the closed-form growth
-  coefficient is cross-checked against a numerical extraction from the
-  recomputed polynomial.
+  negative.  One probe curve, ``_probe_points``, exhibits the negative value
+  and is read by the witness search, the growth-coefficient extraction and
+  the density slice; the closed-form coefficient of the quadratic growth
+  term (negative for every admissible parameter triple) explains why a
+  witness always exists.  The candidate's polynomial is recomputed through
+  the general inverse transform rather than transcribed, and the
+  closed-form growth coefficient is cross-checked against a numerical
+  extraction from the recomputed polynomial.
 
 * ``biquadratic_factor_probe`` -- the scan's local search, from many starts
   at once, of the least squared coefficient residual of a product of two
@@ -191,35 +192,19 @@ def example4_signed_density(params: Example4Params):
     return value, poly, A
 
 
-def _curve_point(params: Example4Params, n: float) -> np.ndarray:
-    """Probe-curve point in original coordinates, defined for a12 > 0."""
-    a11, a12, a22 = params.a11, params.a12, params.a22
-    det = a11 * a22 - a12**2
-    t = float(n)
+def _probe_points(params: Example4Params, ts) -> np.ndarray:
+    """Probe-curve points at the parameters ``ts``, one row each: the x1 axis
+    when a12 = 0 (the quartic axis term vanishes and the quadratic one is
+    negative), otherwise the curve of |a12|, with x2 negated when a12 < 0."""
+    a11, a12, a22 = params.a11, abs(params.a12), params.a22
+    t = np.asarray(ts, dtype=float)
+    if a12 == 0.0:
+        return np.stack([math.sqrt(a11) * t, np.zeros_like(t)], axis=1)
     y = (t - 1.0 / t) * math.sqrt(a12)
-    big_x = t * math.sqrt(det / a12)
+    big_x = t * math.sqrt((a11 * a22 - a12**2) / a12)
     x2 = math.sqrt(a22) * y
     x1 = math.sqrt(a11 - a12**2 / a22) * big_x + (a12 / a22) * x2
-    return np.array([x1, x2])
-
-
-def _witness_candidates(params: Example4Params, n: int) -> list:
-    a12 = params.a12
-    if a12 == 0.0:
-        # Quartic axis term vanishes and the quadratic one is negative, so
-        # the polynomial goes negative along the first axis.
-        x1 = math.sqrt(params.a11) * n
-        return [np.array([x1, 0.0])]
-    base = _curve_point(Example4Params(params.a11, abs(a12), params.a22), n)
-    if a12 > 0.0:
-        return [base]
-    # Mirrored exponent: probe the coordinate reflections of the curve.
-    return [
-        base * np.array([1.0, -1.0]),
-        base * np.array([-1.0, 1.0]),
-        base,
-        -base,
-    ]
+    return np.stack([x1, -x2 if params.a12 < 0.0 else x2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -234,8 +219,12 @@ def example4_negative_witness(params: Example4Params, n_max: int = 50) -> Witnes
     negative; raises NoWitnessFound when the scan range is too short."""
     validate_example4_params(params)
     value, _, _ = example4_signed_density(params)
+    # The candidate density is even, f(-x) = f(x), so the point reflections
+    # of these curves would repeat their values up to rounding.
+    curves = [params] if params.a12 >= 0.0 else [params, Example4Params(params.a11, -params.a12, params.a22)]
     for n in range(1, n_max + 1):
-        for pt in _witness_candidates(params, n):
+        for curve in curves:
+            pt = _probe_points(curve, [n])[0]
             v = value(pt)
             if v < WITNESS_TOL:
                 return Witness(pt, float(v), n)
@@ -258,7 +247,7 @@ def example4_B_from_density(params: Example4Params) -> float:
     _, poly, _ = example4_signed_density(params_abs)
     ns = np.asarray(_B_SAMPLE_NS)
     basis = np.stack([ns**2, np.ones_like(ns), ns**-2.0], axis=1)
-    samples = np.array([poly.eval(_curve_point(params_abs, n)) for n in ns])
+    samples = np.array([poly.eval(pt) for pt in _probe_points(params_abs, ns)])
     coeffs = np.linalg.solve(basis, samples)
     return 3.0 * float(coeffs[0])
 
@@ -266,14 +255,7 @@ def example4_B_from_density(params: Example4Params) -> float:
 def example4_witness_slice(params: Example4Params, n_max: int) -> np.ndarray:
     """``_SLICE_POINTS`` probe-curve sample points for density slice export."""
     validate_example4_params(params)
-    ts = np.linspace(1.0, float(n_max), _SLICE_POINTS)
-    if params.a12 == 0.0:
-        return np.stack([math.sqrt(params.a11) * ts, np.zeros_like(ts)], axis=1)
-    params_abs = Example4Params(params.a11, abs(params.a12), params.a22)
-    pts = np.array([_curve_point(params_abs, t) for t in ts])
-    if params.a12 < 0.0:
-        pts = pts * np.array([1.0, -1.0])
-    return pts
+    return _probe_points(params, np.linspace(1.0, float(n_max), _SLICE_POINTS))
 
 
 # -- biquadratic factorization probe -------------------------------------------

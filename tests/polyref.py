@@ -37,6 +37,10 @@ are kept as the bound that ``positivity``'s search of the infimum, the scan's
 local search run on the ratio, must not exceed, and as the search that
 ``positivity.epsilon_bound`` must turn into the same report bits when it is
 put back (``test_positivity.py``).
+The Example-4 probe curve written out for each reader, one point at a time,
+with all four coordinate reflections of the curve of |a12| probed when
+a12 < 0, is kept as the bit-exact reference for ``verify._probe_points``,
+which holds the case analysis once (``test_verify.py``).
 """
 
 import functools
@@ -66,7 +70,15 @@ from polynormal.pnd import (
 )
 from polynormal.polyalg import HermiteCoeffs, Polynomial, _hessian_rows, tensor_grid, theta_rescale
 from polynormal.positivity import _even_degree, leading_axis_coeffs
-from polynormal.verify import _QUAD_EXPS, _QUARTIC_EXPS, _QUARTIC_POS, ProbeResult, _as_pnd, _quadratic_from_vector
+from polynormal.verify import (
+    _QUAD_EXPS,
+    _QUARTIC_EXPS,
+    _QUARTIC_POS,
+    Example4Params,
+    ProbeResult,
+    _as_pnd,
+    _quadratic_from_vector,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -643,3 +655,34 @@ def estimate_inf_b_ref(p: Polynomial, budget=None):
     b0 = float(np.min(leading_axis_coeffs(p)))
     radius = max(tail_radius_ref(p, b0), 1.0)
     return ratio_min_on_ball_ref(p, radius, p.degree), radius
+
+
+def _curve_point(params: Example4Params, n: float) -> np.ndarray:
+    """Probe-curve point in original coordinates, defined for a12 > 0."""
+    a11, a12, a22 = params.a11, params.a12, params.a22
+    det = a11 * a22 - a12**2
+    t = float(n)
+    y = (t - 1.0 / t) * math.sqrt(a12)
+    big_x = t * math.sqrt(det / a12)
+    x2 = math.sqrt(a22) * y
+    x1 = math.sqrt(a11 - a12**2 / a22) * big_x + (a12 / a22) * x2
+    return np.array([x1, x2])
+
+
+def _witness_candidates(params: Example4Params, n: int) -> list:
+    a12 = params.a12
+    if a12 == 0.0:
+        # Quartic axis term vanishes and the quadratic one is negative, so
+        # the polynomial goes negative along the first axis.
+        x1 = math.sqrt(params.a11) * n
+        return [np.array([x1, 0.0])]
+    base = _curve_point(Example4Params(params.a11, abs(a12), params.a22), n)
+    if a12 > 0.0:
+        return [base]
+    # Mirrored exponent: probe the coordinate reflections of the curve.
+    return [
+        base * np.array([1.0, -1.0]),
+        base * np.array([-1.0, 1.0]),
+        base,
+        -base,
+    ]

@@ -94,6 +94,54 @@ def test_validate_missing_file_exits_1(workdir):
     assert main(["validate", "--input", str(workdir / "absent.json")]) == 1
 
 
+def _one_variable_json():
+    return _pnd_json(Polynomial.from_terms(1, {(2,): 1.0, (0,): 1.0}), [[1.0]], [0.0])
+
+
+@pytest.mark.parametrize("command", ["validate", "charfn", "invcharfn", "diagnose", "decompose", "probe", "verify-y"])
+def test_an_input_that_is_not_utf8_exits_1(workdir, capsys, command):
+    path = workdir / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "name": "\xe9"}')
+    if command == "probe":
+        argv = ["probe", "--poly", str(path)]
+    elif command == "verify-y":
+        f = _write(workdir / "f.json", _one_variable_json())
+        argv = ["verify-conv", "--f", f, "--y", str(path), "--z", f]
+    else:
+        argv = [command, "--input", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: cannot read {path}" in captured.err
+
+
+@pytest.mark.parametrize("factor", [5, "mean cov", ["mean", "cov"], None])
+def test_a_factor_document_that_is_not_an_object_exits_1(workdir, capsys, factor):
+    f = _write(workdir / "f.json", _one_variable_json())
+    y = _write(workdir / "y.json", factor)
+    assert main(["verify-conv", "--f", f, "--y", y, "--z", f]) == 1
+    assert "bad factor schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [1.5, 0.5, float("inf")])
+def test_a_dim_that_is_not_whole_exits_2(workdir, capsys, dim):
+    data = _one_variable_json()
+    data["poly"]["dim"] = dim
+    assert main(["validate", "--input", _write(workdir / "p.json", data)]) == 2
+    cf = {"dim": dim, "beta": [{"alpha": [0], "coef": 1.0}], "Sigma": [[1.0]], "b": [0.0]}
+    assert main(["invcharfn", "--input", _write(workdir / "cf.json", cf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("is not whole") == 2
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_an_output_that_cannot_be_written_exits_2(workdir, capsys, option):
+    target = workdir / "missing" / "out"
+    argv = ["--out", str(target), "example4"] if option == "--out" else ["example4", "--csv", str(target)]
+    assert main(argv) == 2
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
 def test_charfn_reference_coefficients(workdir, example4_json, capsys):
     code = main(["charfn", "--input", example4_json])
     assert code == 0

@@ -236,3 +236,12 @@ def test_json_roundtrip_and_ordering():
 def test_json_schema_shape():
     data = json.loads(json.dumps(polynomial_to_dict(Polynomial.from_terms(1, {(2,): 4.0}))))
     assert data == {"dim": 1, "terms": [{"alpha": [2], "coef": 4.0}]}
+
+
+def test_json_dim_must_be_whole():
+    # The exponents' rule: a dim of 1.0 reads as 1, and 1.5 is not read as 1.
+    data = {"dim": 1.0, "terms": [{"alpha": [2], "coef": 1.0}]}
+    assert polynomial_from_dict(data).dim == 1
+    for dim in (1.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not whole"):
+            polynomial_from_dict({**data, "dim": dim})

@@ -11,11 +11,15 @@ from polynormal.errors import DimensionMismatch, NoWitnessFound
 from polynormal.pnd import _local_minima, density_many, make_pnd, make_quadform
 from polynormal.polyalg import Polynomial, tensor_grid
 from polynormal.verify import (
+    _B_SAMPLE_NS,
     _BOX_SCALES,
     _PRODUCT,
     _QUARTIC_POS,
+    _SLICE_POINTS,
+    WITNESS_TOL,
     Example4Params,
     _as_pnd,
+    _probe_points,
     _quadratic_from_vector,
     _SquaredResidual,
     biquadratic_factor_probe,
@@ -23,11 +27,18 @@ from polynormal.verify import (
     example4_B_exact,
     example4_B_from_density,
     example4_negative_witness,
+    example4_signed_density,
     validate_example4_params,
 )
 
 from conftest import FAST_BUDGET, eligible_quartic_poly, random_pd_matrix, random_pnd, sample_example4_params
-from polyref import biquadratic_factor_probe_ref, convolution_check_ref, product_residual_ref
+from polyref import (
+    _curve_point,
+    _witness_candidates,
+    biquadratic_factor_probe_ref,
+    convolution_check_ref,
+    product_residual_ref,
+)
 
 
 def _gauss(var):
@@ -165,6 +176,59 @@ def test_example4_witness_exhausted_range():
     with pytest.raises(NoWitnessFound):
         # ill-conditioned triple: density underflows along the whole curve
         example4_negative_witness(Example4Params(0.631, 0.4189, 0.2835), 50)
+
+
+def _probe_triples(seed, count=12):
+    """``count`` admissible triples each with a12 > 0, a12 < 0 and a12 = 0."""
+    rng = np.random.default_rng(seed)
+    drawn = [sample_example4_params(rng) for _ in range(8 * count)]
+    positive = [p for p in drawn if p.a12 > 0.0][:count]
+    negative = [p for p in drawn if p.a12 < 0.0][:count]
+    assert len(positive) == len(negative) == count
+    return positive + negative + [Example4Params(p.a11, 0.0, p.a22) for p in drawn[:count]]
+
+
+_SLICE_TS = np.linspace(1.0, 50.0, _SLICE_POINTS)
+
+
+def test_probe_points_are_the_reference_curve_to_the_bit():
+    for params in _probe_triples(31):
+        # the slice and the witness read the first candidate of each n ...
+        pts = _probe_points(params, _SLICE_TS)
+        ref = np.array([_witness_candidates(params, t)[0] for t in _SLICE_TS])
+        assert pts.shape == (_SLICE_POINTS, 2) and pts.tobytes() == ref.tobytes()
+        if params.a12 == 0.0:
+            continue
+        # ... and the growth coefficient the curve of |a12|
+        params_abs = Example4Params(params.a11, abs(params.a12), params.a22)
+        pts = _probe_points(params_abs, _B_SAMPLE_NS)
+        assert pts.tobytes() == np.array([_curve_point(params_abs, n) for n in _B_SAMPLE_NS]).tobytes()
+
+
+def test_the_signed_density_is_even_to_its_rounding():
+    # The Gaussian factor is even to the bit.  The polynomial is even up to
+    # its rounding: numpy's x ** k can differ from (-x) ** k in the last bit.
+    for params in _probe_triples(32):
+        _, poly, A = example4_signed_density(params)
+        params_abs = Example4Params(params.a11, abs(params.a12), params.a22)
+        pts = np.concatenate([_probe_points(params, _SLICE_TS), _probe_points(params_abs, _B_SAMPLE_NS)])
+        _, _, _, magnitude = poly._jet(pts)
+        for pt, mag in zip(pts, magnitude):
+            assert -0.5 * -pt @ A @ -pt == -0.5 * pt @ A @ pt
+            assert abs(poly.eval(-pt) - poly.eval(pt)) <= 4.0 * np.finfo(float).eps * mag
+
+
+def test_a_mirrored_witness_is_the_four_reflection_search():
+    for params in [p for p in _probe_triples(33) if p.a12 < 0.0]:
+        value, _, _ = example4_signed_density(params)
+        ref = next(
+            (pt, float(v), n)
+            for n in range(1, 51)
+            for pt in _witness_candidates(params, n)
+            if (v := value(pt)) < WITNESS_TOL
+        )
+        w = example4_negative_witness(params, 50)
+        assert (w.point.tobytes(), w.value, w.n) == (ref[0].tobytes(), ref[1], ref[2])
 
 
 def _conv_grid(dim, per_axis):
